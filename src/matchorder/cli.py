@@ -75,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     compare.add_argument("--format", choices=("text", "json"), default="text")
-    compare.add_argument(
-        "--threads",
-        type=_positive,
-        default=1,
-        help="worker threads to allow; the search is single-threaded, so "
-        "any value yields identical output",
-    )
     compare.add_argument("a")
     compare.add_argument("b")
     compare.set_defaults(func=_cmd_compare)

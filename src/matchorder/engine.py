@@ -445,16 +445,35 @@ def result_document(kind: str, a, b, result: SearchResult) -> dict:
 
 
 def certificate_from_document(doc: dict) -> Certificate:
-    """Rebuild a certificate from a result document."""
+    """Rebuild a certificate from a result document.
+
+    Anything that is not shaped like result_document's output (a JSON
+    object with string start and end and a list of step strings) is
+    rejected with a one-line ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"result document must be a JSON object, not {type(doc).__name__}"
+        )
     try:
         kind = doc["kind"]
         start_text = doc["start"]
         end_text = doc["end"]
         steps_texts = doc["certificate"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"result document is missing {exc}") from None
     if steps_texts is None:
         raise ValueError("result document carries no certificate")
+    if not isinstance(steps_texts, list):
+        raise ValueError(
+            f"certificate must be a list of steps, not {type(steps_texts).__name__}"
+        )
+    for field, value in (("start", start_text), ("end", end_text)):
+        if not isinstance(value, str):
+            raise ValueError(f"{field} must be a string, not {type(value).__name__}")
+    for index, text in enumerate(steps_texts):
+        if not isinstance(text, str):
+            raise ValueError(f"step {index} must be a string, not {type(text).__name__}")
     if kind == "matching":
         start: Matching | Permutation = Matching.from_text(start_text)
         end: Matching | Permutation = Matching.from_text(end_text)

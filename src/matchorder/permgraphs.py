@@ -11,6 +11,16 @@ Everything in scope is tiny (a couple dozen vertices at most), so the
 unlabeled-graph questions are answered by direct search: canonical forms
 come from a pruned exhaustive relabeling, recognition scans S_n, and the
 subgraph tests are backtracking injections.
+
+For the graph of a permutation two questions need no graph at all.  Its
+connected components are the prefix-maximum blocks of the one-line word:
+position k closes a block exactly when max(p1..pk) = k, so each block
+holds an interval of values (Koh and Ree, "Connected permutation graphs",
+Discrete Math. 307, 2007).  And a graph is a forest exactly when
+|E| = n - #components, so the graph has a cycle exactly when the
+inversion count exceeds n minus the block count.  ``_block_ids`` and
+``_is_cyclic`` answer both from the letters in one pass; union-find stays
+behind ``has_cycle`` and ``connected_components`` for general graphs.
 """
 
 from __future__ import annotations
@@ -385,6 +395,50 @@ def connected_components(g: LabeledGraph | UnlabeledGraph) -> list[frozenset[int
     """Vertex classes of the connectivity relation, ordered by least member."""
     labeled = _as_labeled(g)
     return _components_edges(labeled.n, labeled.edges)
+
+
+def _block_ids(letters: tuple[int, ...]) -> tuple[list[int], int]:
+    """Component index of every value of a permutation's inversion graph.
+
+    Returns (ids, count) with ids[v] the index of the component holding
+    value v (ids[0] is unused) and count the number of components.  The
+    components are the prefix-maximum blocks: position k closes a block
+    exactly when max(p1..pk) = k (Koh and Ree 2007), so the block ending
+    at k holds exactly the values after the previous block's end up to k.
+    Blocks are numbered left to right, which is the order of their least
+    values.
+    """
+    ids = [0] * (len(letters) + 1)
+    count = high = 0
+    low = 1
+    for k, x in enumerate(letters, 1):
+        if x > high:
+            high = x
+        if high == k:
+            ids[low : k + 1] = [count] * (k + 1 - low)
+            count += 1
+            low = k + 1
+    return ids, count
+
+
+def _is_cyclic(letters: tuple[int, ...]) -> bool:
+    """Does the inversion graph of a permutation contain a cycle?
+
+    A graph is a forest exactly when |E| = n - #components, so it has a
+    cycle exactly when the inversion count exceeds n minus the number of
+    prefix-maximum blocks (Koh and Ree 2007).  One pass counts both: a
+    bitmask of the values already seen gives each letter's count of
+    larger values to its left, and the running maximum closes the blocks.
+    """
+    inversions = blocks = high = seen = 0
+    for k, x in enumerate(letters, 1):
+        inversions += (seen >> x).bit_count()
+        seen |= 1 << x
+        if x > high:
+            high = x
+        if high == k:
+            blocks += 1
+    return inversions > len(letters) - blocks
 
 
 def _embeds(h: LabeledGraph, g: LabeledGraph, induced: bool) -> bool:

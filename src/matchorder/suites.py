@@ -37,8 +37,8 @@ from .matchings import (
 from .permgraphs import (
     LabeledGraph,
     UnlabeledGraph,
-    _components_edges,
-    _has_cycle_edges,
+    _block_ids,
+    _is_cyclic,
     fork_graph,
     fork_permutation,
     is_permutation_graph,
@@ -164,57 +164,62 @@ def criterion_a5(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     cyclic = successors = 0
     for n in range(1, max_n + 1):
         for letters in itertools.permutations(range(1, n + 1)):
-            if not _has_cycle_edges(n, _inversion_pairs(letters)):
+            if not _is_cyclic(letters):
                 continue
             cyclic += 1
             for params, result in _swap_successors(letters):
                 successors += 1
-                if not _has_cycle_edges(n, _inversion_pairs(result)):
+                if not _is_cyclic(result):
                     violations.append((letters, "swap", params))
             for params, result in _insertion_successors(letters):
                 successors += 1
-                if not _has_cycle_edges(n + 1, _inversion_pairs(result)):
+                if not _is_cyclic(result):
                     violations.append((letters, "insert", params))
     return _fail_detail(
         violations, f"{cyclic} cyclic permutations, {successors} successors checked"
     )
 
 
-def _component_ids(n: int, edges) -> dict[int, int]:
-    ids: dict[int, int] = {}
-    for index, component in enumerate(_components_edges(n, edges)):
-        for v in component:
-            ids[v] = index
-    return ids
+def _block_spans(ids: list[int]) -> list[tuple[int, int]]:
+    """(least, greatest) value of each block, from _block_ids output."""
+    spans = []
+    low = 1
+    for v in range(1, len(ids)):
+        if v == len(ids) - 1 or ids[v + 1] != ids[v]:
+            spans.append((low, v))
+            low = v + 1
+    return spans
 
 
 def criterion_a6(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Connectivity survives every move; same-component swaps force a cycle."""
+    """Connectivity survives every move; same-component swaps force a cycle.
+
+    Components are the prefix-maximum blocks, which are value intervals
+    (see permgraphs._block_ids).  The result's components are intervals
+    too, so a component stays in one piece exactly when its least and
+    greatest values (shifted past an inserted value) share a block.
+    """
     violations = []
     checked = 0
     for n in range(1, max_n + 1):
         for letters in itertools.permutations(range(1, n + 1)):
-            edges = _inversion_pairs(letters)
-            components = _components_edges(n, edges)
-            ids = _component_ids(n, edges)
+            ids, _ = _block_ids(letters)
+            spans = _block_spans(ids)
             for (i, j), result in _swap_successors(letters):
                 checked += 1
-                result_edges = _inversion_pairs(result)
-                result_ids = _component_ids(n, result_edges)
-                for component in components:
-                    if len({result_ids[v] for v in component}) != 1:
-                        violations.append((letters, "swap-split", (i, j)))
-                        break
-                if ids[i] == ids[j] and not _has_cycle_edges(n, result_edges):
+                result_ids, _ = _block_ids(result)
+                if any(result_ids[low] != result_ids[high] for low, high in spans):
+                    violations.append((letters, "swap-split", (i, j)))
+                if ids[i] == ids[j] and not _is_cyclic(result):
                     violations.append((letters, "same-component-acyclic", (i, j)))
             for (value, _pos), result in _insertion_successors(letters):
                 checked += 1
-                result_ids = _component_ids(n + 1, _inversion_pairs(result))
-                for component in components:
-                    mapped = {v + 1 if v >= value else v for v in component}
-                    if len({result_ids[v] for v in mapped}) != 1:
-                        violations.append((letters, "insert-split", value))
-                        break
+                result_ids, _ = _block_ids(result)
+                if any(
+                    result_ids[low + (low >= value)] != result_ids[high + (high >= value)]
+                    for low, high in spans
+                ):
+                    violations.append((letters, "insert-split", value))
     return _fail_detail(violations, f"{checked} successors keep components together")
 
 

@@ -61,12 +61,6 @@ def test_compare_with_rewrite_rule():
     assert out.startswith("comparable\nrule 231-312 @ 4\n")
 
 
-def test_threads_flag_changes_nothing():
-    plain = run("compare", "2143", "34152")
-    threaded = run("compare", "--threads", "4", "2143", "34152")
-    assert plain == threaded
-
-
 def test_bad_permutation_literal(capsys):
     code, out = run("compare", "2143", "31x2")
     assert code == 1
@@ -251,6 +245,45 @@ def test_verify_needs_a_certificate(monkeypatch, capsys):
     code, _ = run("verify")
     assert code == 1
     assert "no certificate" in capsys.readouterr().err
+
+
+def _verify_rejects(monkeypatch, capsys, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out = run("verify")
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def _good_document():
+    return json.loads(_compare_document("2143", "34152"))
+
+
+def test_verify_rejects_a_non_object_document(monkeypatch, capsys):
+    err = _verify_rejects(monkeypatch, capsys, [1, 2])
+    assert "must be a JSON object, not list" in err
+
+
+def test_verify_rejects_a_non_string_start(monkeypatch, capsys):
+    doc = dict(_good_document(), start=2143)
+    assert "start must be a string, not int" in _verify_rejects(monkeypatch, capsys, doc)
+
+
+def test_verify_rejects_a_non_string_end(monkeypatch, capsys):
+    doc = dict(_good_document(), end=["3", "4"])
+    assert "end must be a string, not list" in _verify_rejects(monkeypatch, capsys, doc)
+
+
+def test_verify_rejects_a_non_string_step(monkeypatch, capsys):
+    doc = dict(_good_document(), certificate=["swap 1 3", 5])
+    assert "step 1 must be a string, not int" in _verify_rejects(monkeypatch, capsys, doc)
+
+
+def test_verify_rejects_a_certificate_that_is_not_a_list(monkeypatch, capsys):
+    doc = dict(_good_document(), certificate="swap 2 3")
+    err = _verify_rejects(monkeypatch, capsys, doc)
+    assert "certificate must be a list of steps, not str" in err
 
 
 def test_suite_single_criterion():

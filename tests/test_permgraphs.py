@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from matchorder.permgraphs import (
     LabeledGraph,
     UnlabeledGraph,
+    _block_ids,
+    _components_edges,
+    _has_cycle_edges,
+    _is_cyclic,
     connected_components,
     fork_graph,
     fork_labeled,
@@ -22,7 +26,7 @@ from matchorder.permgraphs import (
     permutation_graph,
     to_dot,
 )
-from matchorder.permutations import Permutation, all_permutations
+from matchorder.permutations import Permutation, _inversion_pairs, all_permutations
 
 
 def complete(n):
@@ -225,6 +229,45 @@ def test_connected_components():
         frozenset({4, 5}),
         frozenset({6}),
     ]
+
+
+def union_find_blocks(letters):
+    """(ids, count) for the inversion graph, computed through union-find."""
+    components = _components_edges(len(letters), _inversion_pairs(letters))
+    ids = [0] * (len(letters) + 1)
+    for index, component in enumerate(components):
+        for v in component:
+            ids[v] = index
+    return ids, len(components)
+
+
+def assert_block_helpers_agree(letters):
+    assert _block_ids(letters) == union_find_blocks(letters)
+    assert _is_cyclic(letters) == _has_cycle_edges(len(letters), _inversion_pairs(letters))
+
+
+def test_block_helpers_agree_with_union_find_on_s1_to_s7():
+    for n in range(1, 8):
+        for letters in itertools.permutations(range(1, n + 1)):
+            assert_block_helpers_agree(letters)
+
+
+@given(
+    st.integers(min_value=8, max_value=12).flatmap(
+        lambda n: st.permutations(range(1, n + 1))
+    )
+)
+def test_block_helpers_agree_with_union_find_on_longer_permutations(letters):
+    assert_block_helpers_agree(tuple(letters))
+
+
+def test_block_helper_examples():
+    assert _block_ids(()) == ([0], 0)
+    assert _block_ids((2, 1, 3, 5, 6, 4)) == ([0, 0, 0, 1, 2, 2, 2], 3)
+    assert not _is_cyclic((2, 1, 4, 3))
+    assert _is_cyclic((3, 2, 1))
+    assert _is_cyclic((3, 4, 1, 2))
+    assert not _is_cyclic(fork_permutation(1).letters)
 
 
 def test_subgraph_relations():
