@@ -272,8 +272,12 @@ def _cmd_verify(args, out: TextIO) -> int:
     if args.path == "-":
         raw = sys.stdin.read()
     else:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            raw = handle.read()
+        try:
+            with open(args.path, "r", encoding="utf-8") as handle:
+                raw = handle.read()
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot read {args.path}: {reason}") from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -304,6 +308,8 @@ def _cmd_suite(args, out: TextIO) -> int:
     names = None
     if args.criteria is not None:
         names = [name.strip() for name in args.criteria.split(",") if name.strip()]
+        if not names:
+            raise ValueError(f"--criteria {args.criteria!r} names no criterion")
     results = suites.run_all(names=names, max_n=args.max_n, budget=args.budget)
     if args.format == "json":
         json.dump(

@@ -1,24 +1,28 @@
 """Reachability deciders with replayable certificates.
 
-Both deciders run a breadth-first search whose universe is finite by
+Both deciders hand a per-query successor function to the shared
+breadth-first search in ``_search``, whose universe is finite by
 construction: the matching search is capped at the target's largest vertex
-and pruned by two quantities every move keeps non-decreasing (edge count
-and the sorted matched-vertex list), while the permutation search only
-ever visits lengths between the two inputs.  Successors are generated in a
-fixed canonical order, so a query always returns the same certificate.
+and admits only states that two quantities every move keeps non-decreasing
+(edge count and the sorted matched-vertex list) still allow, while the
+permutation search only ever visits lengths between the two inputs.
+Successors are generated in a fixed canonical order, so a query always
+returns the same certificate; ``Step`` objects are built only for the
+certificate's path.
 
 Termination therefore never depends on the order-theoretic facts the test
 suites check; those are verified, not trusted.  A state budget turns
 runaway queries into an explicit "budget" outcome that is never conflated
-with incomparability.
+with incomparability.  Certificate replay goes through the ``apply_*``
+validators, never through the successor generators the search uses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._search import BUDGET, bfs, path
 from .matchings import Matching, MoveKind, apply_move, moves_with_params
 from .permutations import (
     Permutation,
@@ -49,16 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
-
-# sentinel outcome distinct from True/False
-BUDGET = "budget"
-
-_KIND_ORDER = (
-    MoveKind.TYPE_IA,
-    MoveKind.TYPE_IB,
-    MoveKind.TYPE_IIA,
-    MoveKind.TYPE_IIB,
-)
 
 
 @dataclass(frozen=True)
@@ -251,34 +245,27 @@ def matching_leq(
     cap = b.max_vertex
     target_edges = len(b.edges)
     target_support = b.sorted_matched
-    if len(a.edges) > target_edges or not _support_dominated(
-        a.sorted_matched, target_support
-    ):
+
+    def admit(m: Matching) -> bool:
+        return len(m.edges) <= target_edges and _support_dominated(
+            m.sorted_matched, target_support
+        )
+
+    if not admit(a):
         return SearchResult(False, None, 1)
-    kinds = tuple(k for k in _KIND_ORDER if k in moves.kinds)
-    visited: dict[Matching, tuple[Matching, Step] | None] = {a: None}
-    queue: deque[Matching] = deque((a,))
-    while queue:
-        current = queue.popleft()
+    kinds = tuple(k for k in MoveKind if k in moves.kinds)
+
+    def successors(current: Matching):
         for kind in kinds:
             for params, nxt in moves_with_params(current, kind, cap):
-                if nxt in visited:
-                    continue
-                if len(nxt.edges) > target_edges:
-                    continue
-                if not _support_dominated(nxt.sorted_matched, target_support):
-                    continue
-                visited[nxt] = (current, Step(kind.value, params))
-                if nxt == b:
-                    return SearchResult(
-                        True,
-                        _backtrack("matching", a, b, visited),
-                        len(visited),
-                    )
-                if len(visited) > budget:
-                    return SearchResult(BUDGET, None, len(visited))
-                queue.append(nxt)
-    return SearchResult(False, None, len(visited))
+                yield (kind, params), nxt
+
+    outcome, parents = bfs(a, successors, b, admit, budget)
+    certificate = None
+    if outcome is True:
+        steps = tuple(Step(kind.value, params) for kind, params in path(parents, b))
+        certificate = Certificate("matching", a, b, steps)
+    return SearchResult(outcome, certificate, len(parents))
 
 
 def perm_leq(
@@ -299,69 +286,33 @@ def perm_leq(
     if len(start) < len(target) and not moves.insertions:
         # nothing grows the length except insertions
         return SearchResult(False, None, 1)
-    visited: dict[tuple[int, ...], tuple[tuple[int, ...], Step] | None] = {
-        start: None
-    }
-    queue: deque[tuple[int, ...]] = deque((start,))
     target_len = len(target)
-    while queue:
-        current = queue.popleft()
-        successors: list[tuple[Step, tuple[int, ...]]] = []
+
+    def successors(current: tuple[int, ...]):
         if allow_swaps:
-            successors.extend(
-                (Step("swap", params), result)
-                for params, result in _swap_successors(current)
-            )
+            for params, nxt in _swap_successors(current):
+                yield ("swap", params), nxt
         if moves.insertions and len(current) < target_len:
-            successors.extend(
-                (Step("insert", params), result)
-                for params, result in _insertion_successors(current)
-            )
+            for params, nxt in _insertion_successors(current):
+                yield ("insert", params), nxt
         if moves.rules:
-            successors.extend(
-                (Step("rule", (rule.to_text(), start_pos)), result)
-                for (rule, start_pos), result in _rewrite_successors(
-                    current, moves.rules
-                )
-            )
-        for step, nxt in successors:
-            if nxt in visited:
-                continue
-            visited[nxt] = (current, step)
-            if nxt == target:
-                return SearchResult(
-                    True, _backtrack_letters(a, b, visited), len(visited)
-                )
-            if len(visited) > budget:
-                return SearchResult(BUDGET, None, len(visited))
-            queue.append(nxt)
-    return SearchResult(False, None, len(visited))
+            for params, nxt in _rewrite_successors(current, moves.rules):
+                yield ("rule", params), nxt
+
+    outcome, parents = bfs(start, successors, target, budget=budget)
+    certificate = None
+    if outcome is True:
+        steps = tuple(_perm_step(*step) for step in path(parents, target))
+        certificate = Certificate("perm", a, b, steps)
+    return SearchResult(outcome, certificate, len(parents))
 
 
-def _backtrack(kind, a, b, visited) -> Certificate:
-    steps = []
-    cursor = b
-    while True:
-        entry = visited[cursor]
-        if entry is None:
-            break
-        cursor, step = entry
-        steps.append(step)
-    steps.reverse()
-    return Certificate(kind, a, b, tuple(steps))
-
-
-def _backtrack_letters(a: Permutation, b: Permutation, visited) -> Certificate:
-    steps = []
-    cursor = b.letters
-    while True:
-        entry = visited[cursor]
-        if entry is None:
-            break
-        cursor, step = entry
-        steps.append(step)
-    steps.reverse()
-    return Certificate("perm", a, b, tuple(steps))
+def _perm_step(kind: str, params: tuple) -> Step:
+    """The search carries rule objects; certificates carry the rule text."""
+    if kind == "rule":
+        rule, start_pos = params
+        return Step(kind, (rule.to_text(), start_pos))
+    return Step(kind, params)
 
 
 _MATCHING_STEP_KINDS = {k.value: k for k in MoveKind}

@@ -19,8 +19,10 @@ holds an interval of values (Koh and Ree, "Connected permutation graphs",
 Discrete Math. 307, 2007).  And a graph is a forest exactly when
 |E| = n - #components, so the graph has a cycle exactly when the
 inversion count exceeds n minus the block count.  ``_block_ids`` and
-``_is_cyclic`` answer both from the letters in one pass; union-find stays
-behind ``has_cycle`` and ``connected_components`` for general graphs.
+``_is_cyclic`` answer both from the letters in one pass.  For general
+graphs ``connected_components`` runs the shared breadth-first search from
+``_search`` once per component, and ``has_cycle`` applies the same forest
+count to its result.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
+from ._search import bfs
 from .permutations import Permutation, _inversion_pairs
 
 __all__ = [
@@ -352,49 +354,29 @@ def fork_permutation(n: int) -> Permutation:
     return permutation_from_labeled(fork_labeled(n))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge; False if a and b were already together."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _has_cycle_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    uf = _UnionFind(n)
-    return any(not uf.union(i, j) for i, j in edges)
-
-
 def has_cycle(g: LabeledGraph | UnlabeledGraph) -> bool:
+    """Does g contain a cycle?  A graph is a forest exactly when
+    |E| = n - #components."""
     labeled = _as_labeled(g)
-    return _has_cycle_edges(labeled.n, labeled.edges)
-
-
-def _components_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
-    uf = _UnionFind(n)
-    for i, j in edges:
-        uf.union(i, j)
-    groups: dict[int, set[int]] = {}
-    for v in range(1, n + 1):
-        groups.setdefault(uf.find(v), set()).add(v)
-    return sorted((frozenset(vs) for vs in groups.values()), key=min)
+    return len(labeled.edges) > labeled.n - len(connected_components(labeled))
 
 
 def connected_components(g: LabeledGraph | UnlabeledGraph) -> list[frozenset[int]]:
     """Vertex classes of the connectivity relation, ordered by least member."""
     labeled = _as_labeled(g)
-    return _components_edges(labeled.n, labeled.edges)
+    neighbors = labeled.neighbors
+
+    def successors(v: int):
+        return (((v, w), w) for w in neighbors[v])
+
+    components: list[frozenset[int]] = []
+    placed: set[int] = set()
+    for v in range(1, labeled.n + 1):
+        if v not in placed:
+            component = frozenset(bfs(v, successors)[1])
+            placed |= component
+            components.append(component)
+    return components
 
 
 def _block_ids(letters: tuple[int, ...]) -> tuple[list[int], int]:

@@ -5,9 +5,11 @@ A permutation of [n] is a tuple holding 1..n in some order, wrapped in
 works on bare letter tuples for speed, so every move generator comes in two
 flavors: a private tuple-level function returning ``(params, result)`` pairs
 in a fixed canonical order, and a public wrapper producing ``Permutation``
-sets.  The ``apply_*`` functions are the single-step validators used when
-replaying certificates; they re-check the legality condition instead of
-trusting the caller.
+sets.  The pair shape is the ``(step, next)`` shape the shared
+breadth-first search in ``_search`` consumes, so ``bruhat_closure_leq``
+passes ``_bruhat_successors`` to it as is.  The ``apply_*`` functions are
+the single-step validators used when replaying certificates; they re-check
+the legality condition instead of trusting the caller.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from ._search import bfs
 
 __all__ = [
     "Permutation",
@@ -245,9 +249,11 @@ def inversions(p: Permutation) -> set[tuple[int, int]]:
     return set(_inversion_pairs(p.letters))
 
 
-def _bruhat_successors(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """One-swap covers: swap i < j (i before j) when every value between
-    them sits before i or after j."""
+def _bruhat_successors(
+    letters: tuple[int, ...]
+) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+    """One-swap covers as ((i, j), result) pairs: swap i < j (i before j)
+    when every value between them sits before i or after j."""
     n = len(letters)
     pos = {v: k for k, v in enumerate(letters)}
     out = []
@@ -260,7 +266,7 @@ def _bruhat_successors(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
             ):
                 swapped = list(letters)
                 swapped[pi], swapped[pj] = j, i
-                out.append(tuple(swapped))
+                out.append(((i, j), tuple(swapped)))
     return out
 
 
@@ -273,22 +279,9 @@ def bruhat_closure_leq(a: Permutation, b: Permutation) -> bool:
     """
     if len(a) != len(b):
         raise ValueError("comparison needs equal lengths")
-    start, target = a.letters, b.letters
-    if start == target:
+    if a == b:
         return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for current in frontier:
-            for successor in _bruhat_successors(current):
-                if successor == target:
-                    return True
-                if successor not in seen:
-                    seen.add(successor)
-                    nxt.append(successor)
-        frontier = nxt
-    return False
+    return bfs(a.letters, _bruhat_successors, b.letters)[0]
 
 
 def _rewrite_successors(

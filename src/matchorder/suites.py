@@ -17,6 +17,7 @@ import tempfile
 from dataclasses import dataclass
 from time import perf_counter
 
+from ._search import bfs
 from .engine import (
     DEFAULT_BUDGET,
     Certificate,
@@ -310,20 +311,6 @@ def criterion_a10(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, s
     )
 
 
-def _closure(start: tuple[int, ...], successors) -> frozenset[tuple[int, ...]]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for state in frontier:
-            for nxt in successors(state):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    fresh.append(nxt)
-        frontier = fresh
-    return frozenset(seen)
-
-
 def criterion_a11(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
     """Equal-length move order sits strictly inside the swap-cover order."""
     cap = min(max_n, 5)
@@ -333,11 +320,8 @@ def criterion_a11(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, s
     pairs = 0
     for n in range(1, cap + 1):
         universe = list(itertools.permutations(range(1, n + 1)))
-        reach_moves = {
-            t: _closure(t, lambda s: [r for _, r in _swap_successors(s)])
-            for t in universe
-        }
-        reach_covers = {t: _closure(t, _bruhat_successors) for t in universe}
+        reach_moves = {t: frozenset(bfs(t, _swap_successors)[1]) for t in universe}
+        reach_covers = {t: frozenset(bfs(t, _bruhat_successors)[1]) for t in universe}
         for t in universe:
             pairs += len(universe)
             if not reach_moves[t] <= reach_covers[t]:

@@ -12,10 +12,16 @@ import pytest
 from matchorder import suites
 
 _TIME_LIMITS = {"A1": 30.0, "A2": 60.0, "A4": 10.0, "A9": 30.0}
-# the union-find versions of A5 and A6 counted exactly these successors
+# exact detail strings: state counts, pair counts, successor counts and
+# certificates that a change of search or graph code must reproduce
 _DETAILS = {
+    "A1": "incomparable after 30096 states",
+    "A2": "297 ordered pairs agree",
+    "A3": "297 ordered pairs agree",
     "A5": "5536 cyclic permutations, 376411 successors checked",
     "A6": "401081 successors keep components together",
+    "A9": "certificate [rule 231-312 @ 4, insert 7 @ 6, insert 7 @ 6] verifies",
+    "A11": "15017 ordered pairs contained; witness 132 to 312 is cover-only",
 }
 
 

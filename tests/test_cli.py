@@ -247,6 +247,20 @@ def test_verify_needs_a_certificate(monkeypatch, capsys):
     assert "no certificate" in capsys.readouterr().err
 
 
+def test_verify_reports_a_missing_file(tmp_path, capsys):
+    path = tmp_path / "no-such.json"
+    assert run("verify", str(path)) == (1, "")
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+def test_verify_reports_a_directory(tmp_path, capsys):
+    assert run("verify", str(tmp_path)) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
 def _verify_rejects(monkeypatch, capsys, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, out = run("verify")
@@ -301,9 +315,15 @@ def test_suite_json():
 
 
 def test_suite_unknown_criterion(capsys):
-    code, _ = run("suite", "--criteria", "A99")
-    assert code == 1
-    assert "A99" in capsys.readouterr().err
+    for criteria, message in (
+        ("A99", "A99"),
+        ("", "names no criterion"),
+        (" , ", "names no criterion"),
+    ):
+        code, out = run("suite", "--criteria", criteria)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, ""), criteria
+        assert message in err and err.count("\n") == 1, criteria
 
 
 def test_suite_reports_failure_with_exit_three():

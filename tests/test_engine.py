@@ -24,6 +24,7 @@ from matchorder.matchings import (
     all_matchings,
     enumerate_moves,
     matching_leq_total,
+    word_to_matching,
 )
 from matchorder.permutations import Permutation, contains_pattern, type2_swaps
 
@@ -233,6 +234,48 @@ def test_searches_are_deterministic():
     assert first == SearchResult(
         True, first.certificate, first.states_explored
     )
+
+
+_WORD_MATCHING_CERTIFICATE = [
+    "Ib 3-8 -> 3-9", "Ib 1-7 -> 1-8", "Ib 4-6 -> 4-7", "Ib 2-5 -> 2-6",
+    "Ib 4-7 -> 5-7", "Ib 3-9 -> 4-9", "Ib 2-6 -> 3-6", "Ib 4-9 -> 4-10",
+    "Ib 1-8 -> 1-9", "Ib 5-7 -> 5-8", "Ib 3-6 -> 3-7", "Ib 4-10 -> 4-11",
+    "Ia 6-10", "Ib 4-11 -> 4-12", "Ia 2-11",
+]
+
+
+# Verdicts, state counts and certificates of the breadth-first deciders,
+# pinned so that any change to the order states are visited in shows up.
+@pytest.mark.parametrize(
+    "decide, a, b, names, budget, comparable, states, certificate",
+    [
+        (perm_leq, P("412563"), P("41263785"), "I,II", None, False, 30096, None),
+        (
+            perm_leq, P("412563"), P("41263785"), "I,II,x:231-312", None,
+            True, 7034, ["rule 231-312 @ 4", "insert 7 @ 6", "insert 7 @ 6"],
+        ),
+        (perm_leq, P("2143"), P("34152"), "I,II", None, True, 26,
+         ["swap 1 3", "insert 1 @ 3"]),
+        (perm_leq, P("41263785"), P("4,1,2,6,3,8,5,10,7,9"), "I,II", 5000,
+         BUDGET, 5001, None),
+        (
+            matching_leq, word_to_matching((3, 1, 4, 2)),
+            word_to_matching((4, 2, 6, 1, 5, 3)), "I,II", None,
+            True, 29550, _WORD_MATCHING_CERTIFICATE,
+        ),
+    ],
+    ids=["fork-pair", "fork-pair-rule", "2143-34152", "fork-budget", "word-matchings"],
+)
+def test_search_parity(decide, a, b, names, budget, comparable, states, certificate):
+    kwargs = {} if budget is None else {"budget": budget}
+    result = decide(a, b, MoveSet.from_names(names), **kwargs)
+    assert result.comparable == comparable
+    assert result.states_explored == states
+    if certificate is None:
+        assert result.certificate is None
+    else:
+        assert [s.to_text() for s in result.certificate.steps] == certificate
+        assert verify_certificate(result.certificate)
 
 
 @given(perms, perms)

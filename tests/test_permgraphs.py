@@ -9,8 +9,6 @@ from matchorder.permgraphs import (
     LabeledGraph,
     UnlabeledGraph,
     _block_ids,
-    _components_edges,
-    _has_cycle_edges,
     _is_cyclic,
     connected_components,
     fork_graph,
@@ -219,6 +217,11 @@ def test_cycle_detection():
     assert has_cycle(complete(3))
     assert not has_cycle(LabeledGraph(4, ((1, 2), (2, 3), (3, 4))))
     assert not has_cycle(LabeledGraph(2))
+    # a path, two isolated vertices, then a triangle: the cycle sits in the
+    # last component, and the tree and isolated vertices must not hide it
+    later = LabeledGraph.from_text("n=8; 1-2 2-3 6-7 6-8 7-8")
+    assert has_cycle(later)
+    assert not has_cycle(LabeledGraph.from_text("n=8; 1-2 2-3 6-7 7-8"))
 
 
 def test_connected_components():
@@ -231,22 +234,19 @@ def test_connected_components():
     ]
 
 
-def union_find_blocks(letters):
-    """(ids, count) for the inversion graph, computed through union-find."""
-    components = _components_edges(len(letters), _inversion_pairs(letters))
+def assert_block_helpers_agree(letters):
+    """Check both helpers against the general graph code on the same graph."""
+    graph = LabeledGraph(len(letters), _inversion_pairs(letters))
+    components = connected_components(graph)
     ids = [0] * (len(letters) + 1)
     for index, component in enumerate(components):
         for v in component:
             ids[v] = index
-    return ids, len(components)
+    assert _block_ids(letters) == (ids, len(components))
+    assert _is_cyclic(letters) == has_cycle(graph)
 
 
-def assert_block_helpers_agree(letters):
-    assert _block_ids(letters) == union_find_blocks(letters)
-    assert _is_cyclic(letters) == _has_cycle_edges(len(letters), _inversion_pairs(letters))
-
-
-def test_block_helpers_agree_with_union_find_on_s1_to_s7():
+def test_block_helpers_agree_with_graph_search_on_s1_to_s7():
     for n in range(1, 8):
         for letters in itertools.permutations(range(1, n + 1)):
             assert_block_helpers_agree(letters)
@@ -257,7 +257,7 @@ def test_block_helpers_agree_with_union_find_on_s1_to_s7():
         lambda n: st.permutations(range(1, n + 1))
     )
 )
-def test_block_helpers_agree_with_union_find_on_longer_permutations(letters):
+def test_block_helpers_agree_with_graph_search_on_longer_permutations(letters):
     assert_block_helpers_agree(tuple(letters))
 
 
