@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._search import BUDGET, bfs, path
-from .matchings import Matching, MoveKind, apply_move, moves_with_params
+from .matchings import (
+    Matching,
+    MoveKind,
+    _parse_edge,
+    apply_move,
+    moves_with_params,
+)
 from .permutations import (
     Permutation,
     RewriteRule,
@@ -60,15 +66,13 @@ class MoveSet:
     """Which single-step moves a reachability query may use.
 
     kinds drive the matching-side search directly.  On the permutation
-    side, swaps are available when TYPE_IIA is enabled and single-letter
-    insertions when the insertions flag is set; the flag is switched on by
-    the "I" move-set name, which stands for the full type I pair.
-    Extended rewrite rules act on permutations only.
+    side, single-letter insertions are available when both TYPE_IA and
+    TYPE_IB are enabled, and swaps when TYPE_IIA is.  Extended rewrite
+    rules act on permutations only.
     """
 
     kinds: frozenset[MoveKind] = frozenset()
     rules: tuple[RewriteRule, ...] = ()
-    insertions: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", frozenset(self.kinds))
@@ -80,18 +84,16 @@ class MoveSet:
     def from_names(cls, text: str) -> "MoveSet":
         """Parse a comma list of move names.
 
-        "I" enables both type I kinds plus permutation-side insertions,
-        "II" both type II kinds; "Ia", "Ib", "IIa", "IIb" enable single
-        kinds; "x:231-312" registers an extended rewrite rule.
+        "I" enables both type I kinds, "II" both type II kinds; "Ia",
+        "Ib", "IIa", "IIb" enable single kinds; "x:231-312" registers an
+        extended rewrite rule.
         """
         kinds: set[MoveKind] = set()
         rules: list[RewriteRule] = []
-        inserts = False
         for raw in text.split(","):
             name = raw.strip()
             if name == "I":
                 kinds.update((MoveKind.TYPE_IA, MoveKind.TYPE_IB))
-                inserts = True
             elif name == "II":
                 kinds.update((MoveKind.TYPE_IIA, MoveKind.TYPE_IIB))
             elif name in ("Ia", "Ib", "IIa", "IIb"):
@@ -100,7 +102,7 @@ class MoveSet:
                 rules.append(RewriteRule.from_text(name[2:]))
             else:
                 raise ValueError(f"unknown move name {name!r}")
-        return cls(frozenset(kinds), tuple(rules), inserts)
+        return cls(frozenset(kinds), tuple(rules))
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,9 @@ class Step:
         kind = tokens[0]
         try:
             if kind == "Ia" and len(tokens) == 2:
-                return cls(kind, _edge_params(tokens[1]))
+                return cls(kind, _parse_edge(tokens[1]))
             if kind == "Ib" and len(tokens) == 4 and tokens[2] == "->":
-                return cls(kind, _edge_params(tokens[1]) + _edge_params(tokens[3]))
+                return cls(kind, _parse_edge(tokens[1]) + _parse_edge(tokens[3]))
             if kind in ("IIa", "IIb") and len(tokens) == 5:
                 return cls(kind, tuple(int(t) for t in tokens[1:]))
             if kind == "swap" and len(tokens) == 3:
@@ -150,13 +152,6 @@ class Step:
         except ValueError as exc:
             raise ValueError(f"bad step {text!r}: {exc}") from None
         raise ValueError(f"bad step {text!r}")
-
-
-def _edge_params(token: str) -> tuple[int, int]:
-    left, dash, right = token.partition("-")
-    if not dash or not left or not right:
-        raise ValueError(f"bad edge token {token!r}")
-    return (int(left), int(right))
 
 
 @dataclass(frozen=True)
@@ -274,8 +269,8 @@ def perm_leq(
     """Decide whether moves can take a to b on the permutation side.
 
     Transitions are value swaps (enabled by TYPE_IIA), single-letter
-    insertions while shorter than the target (enabled by the insertions
-    flag), and any extended rewrite rules.
+    insertions while shorter than the target (enabled by TYPE_IA and
+    TYPE_IB together), and any extended rewrite rules.
     """
     start, target = a.letters, b.letters
     if start == target:
@@ -283,7 +278,8 @@ def perm_leq(
     if len(start) > len(target):
         return SearchResult(False, None, 1)
     allow_swaps = MoveKind.TYPE_IIA in moves.kinds
-    if len(start) < len(target) and not moves.insertions:
+    allow_insertions = {MoveKind.TYPE_IA, MoveKind.TYPE_IB} <= moves.kinds
+    if len(start) < len(target) and not allow_insertions:
         # nothing grows the length except insertions
         return SearchResult(False, None, 1)
     target_len = len(target)
@@ -292,7 +288,7 @@ def perm_leq(
         if allow_swaps:
             for params, nxt in _swap_successors(current):
                 yield ("swap", params), nxt
-        if moves.insertions and len(current) < target_len:
+        if allow_insertions and len(current) < target_len:
             for params, nxt in _insertion_successors(current):
                 yield ("insert", params), nxt
         if moves.rules:

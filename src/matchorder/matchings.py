@@ -108,22 +108,25 @@ class Matching:
     @classmethod
     def from_text(cls, text: str) -> "Matching":
         """Parse whitespace-separated edge tokens like "1-5 2-3 4-8 6-7"."""
-        edges = []
-        for token in text.split():
-            left, sep, right = token.partition("-")
-            if not sep or not left or not right:
-                raise ValueError(f"bad edge token {token!r}")
-            try:
-                edges.append((int(left), int(right)))
-            except ValueError:
-                raise ValueError(f"bad edge token {token!r}") from None
+        edges = tuple(_parse_edge(token) for token in text.split())
         try:
-            return cls(tuple(edges))
+            return cls(edges)
         except ValueError as exc:
             raise ValueError(f"bad matching {text!r}: {exc}") from None
 
     def to_text(self) -> str:
         return " ".join(f"{i}-{j}" for i, j in self.edges)
+
+
+def _parse_edge(token: str) -> tuple[int, int]:
+    """Read one edge token like "1-5", the form every edge list uses."""
+    left, dash, right = token.partition("-")
+    if dash:
+        try:
+            return (int(left), int(right))
+        except ValueError:
+            pass
+    raise ValueError(f"bad edge token {token!r}")
 
 
 def edge_leq(e1: tuple[int, int], e2: tuple[int, int]) -> bool:

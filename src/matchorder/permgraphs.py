@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._search import bfs
+from .matchings import _parse_edge
 from .permutations import Permutation, _inversion_pairs
 
 __all__ = [
@@ -120,16 +121,7 @@ class LabeledGraph:
             n = int(head[2:])
         except ValueError:
             raise ValueError(f"bad vertex count token {head!r}") from None
-        edges = []
-        for token in rest.split():
-            left, dash, right = token.partition("-")
-            if not dash or not left or not right:
-                raise ValueError(f"bad edge token {token!r}")
-            try:
-                edges.append((int(left), int(right)))
-            except ValueError:
-                raise ValueError(f"bad edge token {token!r}") from None
-        return cls(n, tuple(edges))
+        return cls(n, tuple(_parse_edge(token) for token in rest.split()))
 
     def to_text(self) -> str:
         listing = " ".join(f"{i}-{j}" for i, j in self.edges)

@@ -53,6 +53,15 @@ def test_compare_budget_exit_code():
     assert out == "budget\n"
 
 
+def test_compare_budget_json_document():
+    code, out = run("compare", "--format", "json", "--budget", "2", "2143", "41263785")
+    assert code == 2
+    assert out == (
+        '{"kind": "perm", "start": "2143", "end": "41263785", '
+        '"comparable": "budget", "certificate": null, "states_explored": 3}\n'
+    )
+
+
 def test_compare_with_rewrite_rule():
     code, out = run(
         "compare", "--moves", "I,II,x:231-312", "412563", "41263785"
@@ -106,6 +115,16 @@ def test_antichain_budget_exit_code():
     assert out.endswith("budget\n")
 
 
+def test_antichain_budget_json():
+    code, out = run(
+        "antichain", "--format", "json", "--budget", "2", "2143", "41263785"
+    )
+    assert code == 2
+    assert out == (
+        '{"pairs": [{"i": 1, "j": 2, "comparable": "budget"}], "verdict": "budget"}\n'
+    )
+
+
 def test_fork_perm():
     assert run("fork", "--n", "1") == (0, "412563\n")
     assert run("fork", "--n", "2", "--emit", "perm") == (0, "41263785\n")
@@ -126,6 +145,21 @@ def test_fork_matching():
     code, out = run("fork", "--n", "1", "--emit", "matching")
     assert code == 0
     assert out == "1-11 2-10 3-7 4-12 5-9 6-8\n"
+
+
+def test_fork_json():
+    assert run("fork", "--n", "1", "--format", "json") == (
+        0,
+        '{"permutation": "412563"}\n',
+    )
+    assert run("fork", "--n", "1", "--emit", "matching", "--format", "json") == (
+        0,
+        '{"matching": "1-11 2-10 3-7 4-12 5-9 6-8"}\n',
+    )
+    assert run("fork", "--n", "1", "--emit", "graph", "--format", "json") == (
+        0,
+        '{"n": 6, "edges": [[1, 4], [2, 4], [3, 4], [3, 5], [3, 6]]}\n',
+    )
 
 
 def test_fork_dot_needs_graph_output(capsys):
@@ -230,6 +264,18 @@ def test_verify_json_format(tmp_path):
     code, out = run("verify", "--format", "json", str(path))
     assert code == 0
     assert json.loads(out) == {"valid": True, "failed_step": None, "reason": None}
+
+
+def test_verify_json_reports_an_illegal_step(tmp_path):
+    doc = json.loads(_compare_document("2143", "3142"))
+    doc["certificate"] = ["swap 1 2"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("verify", "--format", "json", str(path)) == (
+        0,
+        '{"valid": false, "failed_step": 0, '
+        '"reason": "swap needs 1 positioned before 2"}\n',
+    )
 
 
 def test_verify_rejects_malformed_json(monkeypatch, capsys):

@@ -47,13 +47,10 @@ def M(text):
 
 def test_move_set_names():
     ms = MoveSet.from_names("I")
+    assert ms == MoveSet.from_names("Ia,Ib")
     assert ms.kinds == frozenset({MoveKind.TYPE_IA, MoveKind.TYPE_IB})
-    assert ms.insertions
     ms = MoveSet.from_names("II")
     assert ms.kinds == frozenset({MoveKind.TYPE_IIA, MoveKind.TYPE_IIB})
-    assert not ms.insertions
-    # a single kind name does not switch insertions on
-    assert not MoveSet.from_names("Ia").insertions
     ms = MoveSet.from_names("IIa, x:231-312")
     assert ms.kinds == frozenset({MoveKind.TYPE_IIA})
     assert len(ms.rules) == 1
@@ -61,6 +58,26 @@ def test_move_set_names():
         MoveSet.from_names("I,III")
     with pytest.raises(ValueError, match="nothing"):
         MoveSet(frozenset())
+
+
+def test_every_kind_set_agrees_across_the_word_bijection():
+    # A2's grid: words of length <= 3 against words of length <= 4
+    sources = [w for n in (1, 2, 3) for w in itertools.permutations(range(1, n + 1))]
+    targets = [w for n in (1, 2, 3, 4) for w in itertools.permutations(range(1, n + 1))]
+    for size in range(1, len(MoveKind) + 1):
+        for kinds in itertools.combinations(MoveKind, size):
+            moves = MoveSet.from_names(",".join(kind.value for kind in kinds))
+            for wa in sources:
+                for wb in targets:
+                    perm_answer = perm_leq(Permutation(wa), Permutation(wb), moves)
+                    matching_answer = matching_leq(
+                        word_to_matching(wa), word_to_matching(wb), moves
+                    )
+                    assert perm_answer.comparable == matching_answer.comparable, (
+                        kinds,
+                        wa,
+                        wb,
+                    )
 
 
 def test_step_text_round_trips():
@@ -80,6 +97,13 @@ def test_step_parsing_rejects_malformed_text():
     for bad in ("", "swap 2", "frob 1 2", "insert 4 2", "Ib 1-2 1-3", "rule 231 @ 1"):
         with pytest.raises(ValueError):
             Step.from_text(bad)
+
+
+def test_step_parsing_names_a_bad_edge_token():
+    for text, token in (("Ia 1-x", "1-x"), ("Ib 1-2 -> 1-", "1-"), ("Ia 12", "12")):
+        with pytest.raises(ValueError) as info:
+            Step.from_text(text)
+        assert str(info.value) == f"bad step {text!r}: bad edge token {token!r}"
 
 
 def test_certificate_kind_is_checked():
