@@ -1,7 +1,8 @@
 """Reachability deciders with replayable certificates.
 
-Both deciders hand a per-query successor function to the shared
-breadth-first search in ``_search``, whose universe is finite by
+Both deciders hand a per-query successor function over bare tuples (letter
+tuples, matching order keys) to the shared breadth-first search in
+``_search``; no state outlives a query.  The universe is finite by
 construction: the matching search is capped at the target's largest vertex
 and admits only states that two quantities every move keeps non-decreasing
 (edge count and the sorted matched-vertex list) still allow, while the
@@ -20,15 +21,18 @@ validators, never through the successor generators the search uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import le
 from typing import Sequence
 
 from ._search import BUDGET, bfs, path
 from .matchings import (
     Matching,
     MoveKind,
+    _order_key,
     _parse_edge,
+    _successors,
     apply_move,
-    moves_with_params,
 )
 from .permutations import (
     Permutation,
@@ -215,20 +219,6 @@ class AntichainReport:
         return "antichain"
 
 
-def _support_dominated(small: Sequence[int], big: Sequence[int]) -> bool:
-    """Right-aligned componentwise comparison of sorted vertex lists.
-
-    Moves never decrease the sorted matched-vertex list componentwise (new
-    vertices are appended, slides bump one entry up, rearrangements keep
-    it fixed), so a state whose list cannot sit below the target's, padded
-    from the left, can never reach the target.
-    """
-    offset = len(big) - len(small)
-    if offset < 0:
-        return False
-    return all(v <= big[k + offset] for k, v in enumerate(small))
-
-
 def matching_leq(
     a: Matching, b: Matching, moves: MoveSet, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
@@ -238,27 +228,31 @@ def matching_leq(
     if a == b:
         return SearchResult(True, Certificate("matching", a, b, ()), 1)
     cap = b.max_vertex
-    target_edges = len(b.edges)
-    target_support = b.sorted_matched
+    start, target = _order_key(a), _order_key(b)
+    target_support = sorted(chain.from_iterable(target))
 
-    def admit(m: Matching) -> bool:
-        return len(m.edges) <= target_edges and _support_dominated(
-            m.sorted_matched, target_support
-        )
+    def admit(key: tuple) -> bool:
+        # Moves never lower the edge count, nor the sorted matched-vertex list
+        # entrywise (new vertices join, slides raise one, rearrangements keep
+        # it): a state above the target in either, lists right-aligned, is dead.
+        if len(key) > len(target):
+            return False
+        support = sorted(chain.from_iterable(key))
+        return all(map(le, support, target_support[2 * (len(target) - len(key)) :]))
 
-    if not admit(a):
+    if not admit(start):
         return SearchResult(False, None, 1)
     kinds = tuple(k for k in MoveKind if k in moves.kinds)
+    # Ia adds an edge, which admit rejects once a state has the target's count
+    full = tuple(k for k in kinds if k is not MoveKind.TYPE_IA)
 
-    def successors(current: Matching):
-        for kind in kinds:
-            for params, nxt in moves_with_params(current, kind, cap):
-                yield (kind, params), nxt
+    def successors(key: tuple):
+        return _successors(key, kinds if len(key) < len(target) else full, cap)
 
-    outcome, parents = bfs(a, successors, b, admit, budget)
+    outcome, parents = bfs(start, successors, target, admit, budget)
     certificate = None
     if outcome is True:
-        steps = tuple(Step(kind.value, params) for kind, params in path(parents, b))
+        steps = tuple(Step(kind.value, p) for kind, p in path(parents, target))
         certificate = Certificate("matching", a, b, steps)
     return SearchResult(outcome, certificate, len(parents))
 

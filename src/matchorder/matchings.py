@@ -5,8 +5,9 @@ unmatched vertices, type Ib slides one endpoint of an edge up to an
 adjacent unmatched vertex, and the two type II moves exchange a nested or
 crossing pair of edges subject to an interval side condition.  A total
 order on matchings (edge count first, then the edge lists compared right
-to left) is what the moves strictly increase; the reachability engine
-relies on it for canonical successor ordering.
+to left) is what the moves strictly increase.  Searches run on its order
+keys, the (larger, smaller) endpoint pairs largest first, which
+``_successors`` yields in that order; nothing is kept between calls.
 
 Intertwined perfect matchings, those pairing {1..n} against {n+1..2n},
 correspond bijectively to permutations of [n]; the conversion functions
@@ -17,7 +18,6 @@ intertwined pieces live here too.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -87,14 +87,6 @@ class Matching:
             partners[j] = i
         return partners
 
-    @cached_property
-    def matched(self) -> frozenset[int]:
-        return frozenset(self.partner_map)
-
-    @cached_property
-    def sorted_matched(self) -> tuple[int, ...]:
-        return tuple(sorted(self.partner_map))
-
     @property
     def max_vertex(self) -> int:
         return max(j for _, j in self.edges) if self.edges else 0
@@ -140,13 +132,14 @@ def lex_key(m: Matching) -> tuple:
 
     Fewer edges come first.  Between equal counts the edge lists, sorted
     by edge_leq, are compared starting from the largest edge, which is the
-    same as comparing the reversed (larger, smaller) endpoint pairs
-    lexicographically.
+    same as comparing the order keys lexicographically.
     """
-    return (
-        len(m.edges),
-        tuple(sorted(((j, i) for i, j in m.edges), reverse=True)),
-    )
+    return (len(m.edges), _order_key(m))
+
+
+def _order_key(m: Matching) -> tuple[tuple[int, int], ...]:
+    """The (larger, smaller) endpoint pairs of m, largest first."""
+    return tuple(sorted(((j, i) for i, j in m.edges), reverse=True))
 
 
 def matching_leq_total(a: Matching, b: Matching) -> bool:
@@ -163,86 +156,102 @@ def is_intertwined(m: Matching) -> bool:
     return all(i <= n < j for i, j in m.edges)
 
 
-def _moves_type_ia(m: Matching, cap: int):
-    free = [v for v in range(1, cap + 1) if v not in m.matched]
-    out = []
-    for a_idx, a in enumerate(free):
-        for b in free[a_idx + 1 :]:
-            out.append(((a, b), Matching(m.edges + ((a, b),))))
-    return out
-
-
-def _moves_type_ib(m: Matching, cap: int):
-    matched = m.matched
-    out = []
-    for i, j in m.edges:
-        rest = tuple(e for e in m.edges if e != (i, j))
-        # the slid vertex must land on an unmatched spot; sliding i onto j
-        # is already excluded because j is matched
-        if i + 1 <= cap and i + 1 not in matched:
-            out.append(((i, j, i + 1, j), Matching(rest + ((i + 1, j),))))
-        if j + 1 <= cap and j + 1 not in matched:
-            out.append(((i, j, i, j + 1), Matching(rest + ((i, j + 1),))))
-    return out
-
-
 def _interval_clear(m: Matching, lo: int, hi: int, bound: int) -> bool:
     """Every vertex strictly between lo and hi is unmatched or paired past bound."""
-    partners = m.partner_map
-    return all(partners.get(v, bound + 1) > bound for v in range(lo + 1, hi))
+    return all(m.partner_map.get(v, bound + 1) > bound for v in range(lo + 1, hi))
 
 
-def _moves_type_iia(m: Matching, cap: int):
-    out = []
-    for b, c in m.edges:
-        for a, d in m.edges:
-            if a < b and c < d and _interval_clear(m, a, b, c):
-                rest = tuple(e for e in m.edges if e not in ((a, d), (b, c)))
-                out.append(
-                    ((a, b, c, d), Matching(rest + ((a, c), (b, d))))
-                )
-    return out
+# plain globals for the hot loops below: enum member lookups and hashes are slow
+_IA, _IB, _IIB = MoveKind.TYPE_IA, MoveKind.TYPE_IB, MoveKind.TYPE_IIB
 
 
-def _moves_type_iib(m: Matching, cap: int):
-    out = []
-    for a, c in m.edges:
-        for b, d in m.edges:
-            if a < b < c < d and _interval_clear(m, b, c, c):
-                rest = tuple(e for e in m.edges if e not in ((a, c), (b, d)))
-                out.append(
-                    ((a, b, c, d), Matching(rest + ((a, b), (c, d))))
-                )
-    return out
+def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
+    """Every single move from the matching whose order key is key, by kind.
+
+    Yields ((kind, params), result key), each kind's results ascending in
+    the total order; cap bounds every vertex a move may touch.  Why:
+
+    - Ia adds (a, b) to a fixed edge set, so its results compare as (b, a)
+      does: b runs upward, and the free vertices below b upward within it.
+      The free list grows with b, so a consumer that stops early stops it.
+    - Ib keeps every edge's rank (j + 1 is free, so below the next larger
+      endpoint).  Sliding a larger edge changes an earlier entry, and
+      (j, i + 1) < (j + 1, i): edges go smallest first, the i-slide first.
+    - IIa and IIb come sorted from one pass over the pairs key[x] = (d, p)
+      > key[y] = (c, q).  IIa (nested) gives (d, q) and (c, p) in the same
+      ranks; IIb (crossing) gives (d, c) at rank x and (p, q), which sorts
+      into key[y + 1 :] as p < c.
+    """
+    # row[v]: v's partner, or cap + 1 (past every bound) when free; sized by key
+    top, free_mark = (key[0][0] if key else 0), cap + 1
+    row = [free_mark] * (top + 2)
+    for j, i in key:
+        row[i] = j
+        row[j] = i
+    type_two = None
+    for kind in kinds:
+        if kind is _IA:
+            free: list[int] = []
+            split = len(key)
+            for b in range(1, cap + 1):
+                if b <= top and row[b] != free_mark:
+                    continue
+                # key[:split] holds the edges whose larger endpoint exceeds b
+                while split and key[split - 1][0] < b:
+                    split -= 1
+                head, tail = key[:split], key[split:]
+                for a in free:
+                    yield (kind, (a, b)), head + ((b, a),) + tail
+                free.append(b)
+        elif kind is _IB:
+            for k in range(len(key) - 1, -1, -1):
+                j, i = key[k]
+                head, tail = key[:k], key[k + 1 :]
+                # i + 1 <= j, and i + 1 == j is matched, so i + 1 needs no cap test
+                if row[i + 1] == free_mark:
+                    yield (kind, (i, j, i + 1, j)), head + ((j, i + 1),) + tail
+                if j + 1 <= cap and row[j + 1] == free_mark:
+                    yield (kind, (i, j, i, j + 1)), head + ((j + 1, i),) + tail
+        else:
+            if type_two is None:
+                type_two = nested, crossing = [], []  # IIa's, then IIb's
+                for x, (d, p) in enumerate(key):
+                    for y in range(x + 1, len(key)):
+                        c, q = key[y]
+                        if p < q:
+                            if min(row[p + 1 : q], default=d) > c:
+                                result = key[:x] + ((d, q),) + key[x + 1 : y]
+                                result += ((c, p),) + key[y + 1 :]
+                                nested.append((result, (p, q, c, d)))
+                        elif p < c and min(row[p + 1 : c], default=d) > c:
+                            tail = sorted(key[y + 1 :] + ((p, q),), reverse=True)
+                            result = key[:x] + ((d, c),) + key[x + 1 : y] + tuple(tail)
+                            crossing.append((result, (q, p, c, d)))
+                nested.sort()
+                crossing.sort()
+            for result, params in type_two[kind is _IIB]:
+                yield (kind, params), result
 
 
-_MOVE_GENERATORS = {
-    MoveKind.TYPE_IA: _moves_type_ia,
-    MoveKind.TYPE_IB: _moves_type_ib,
-    MoveKind.TYPE_IIA: _moves_type_iia,
-    MoveKind.TYPE_IIB: _moves_type_iib,
-}
-
-
-@functools.cache
 def moves_with_params(
     m: Matching, kind: MoveKind, vertex_cap: int
 ) -> tuple[tuple[tuple[int, ...], Matching], ...]:
     """Every single move of one kind from m, as (params, result) pairs.
 
-    Results are sorted by the total order (ties broken by params) so that
-    searches built on top are deterministic.  vertex_cap bounds every
-    vertex a move may touch and must cover m itself.
+    Results are in the total order, so that searches built on top are
+    deterministic.  vertex_cap bounds every vertex a move may touch and
+    must cover m itself.
     """
-    if kind not in _MOVE_GENERATORS:
+    if not isinstance(kind, MoveKind):
         raise ValueError(f"unknown move kind {kind!r}")
     if vertex_cap < m.max_vertex:
         raise ValueError(
             f"vertex_cap {vertex_cap} is below the matching's max vertex {m.max_vertex}"
         )
-    found = _MOVE_GENERATORS[kind](m, vertex_cap)
-    found.sort(key=lambda pair: (lex_key(pair[1]), pair[0]))
-    return tuple(found)
+    return tuple(
+        (params, Matching(tuple((i, j) for j, i in result)))
+        for (_, params), result in _successors(_order_key(m), (kind,), vertex_cap)
+    )
 
 
 def enumerate_moves(m: Matching, kind: MoveKind, vertex_cap: int) -> set[Matching]:
@@ -271,7 +280,7 @@ def apply_move(
         i, j = params
         if i >= j:
             raise ValueError(f"Ia endpoints must satisfy {i} < {j}")
-        if i in m.matched or j in m.matched:
+        if i in m.partner_map or j in m.partner_map:
             raise ValueError(f"Ia endpoints {i}, {j} must both be unmatched")
         if not within(j):
             raise ValueError(f"Ia vertex {j} exceeds the cap")
@@ -286,7 +295,7 @@ def apply_move(
             moved = j + 1
         else:
             raise ValueError(f"Ib target {k}-{l} is not a one-step slide of {i}-{j}")
-        if moved in m.matched:
+        if moved in m.partner_map:
             raise ValueError(f"Ib target vertex {moved} is matched")
         if not within(moved):
             raise ValueError(f"Ib vertex {moved} exceeds the cap")
@@ -349,7 +358,7 @@ def decompose_intertwined(m: Matching) -> list[Matching]:
     the pieces partition the edges in color order.
     """
     k = len(m.edges)
-    if m.matched != frozenset(range(1, 2 * k + 1)):
+    if m.partner_map.keys() != set(range(1, 2 * k + 1)):
         raise ValueError(f"matching {m.to_text()!r} is not perfect on an initial segment")
     color_of: dict[tuple[int, int], int] = {}
     pieces: list[list[tuple[int, int]]] = []

@@ -293,6 +293,8 @@ def is_permutation_graph(
     canonical form.  Rejects graphs larger than cap vertices.
     """
     labeled = _as_labeled(g)
+    if labeled.n == 0:
+        raise ValueError("recognition needs at least one vertex")
     if labeled.n > cap:
         raise ValueError(f"recognition is capped at {cap} vertices, got {labeled.n}")
     target = g if isinstance(g, UnlabeledGraph) else UnlabeledGraph(g)

@@ -219,6 +219,11 @@ def test_recognize_cap(capsys):
     assert run("recognize", "--cap", "9", "n=9;")[0] == 0
 
 
+def test_recognize_rejects_the_empty_graph(capsys):
+    assert run("recognize", "n=0;") == (1, "")
+    assert capsys.readouterr().err == "error: recognition needs at least one vertex\n"
+
+
 def _compare_document(*argv):
     _, out = run("compare", "--format", "json", *argv)
     return out

@@ -1,6 +1,7 @@
 """Reachability deciders, certificates, and the antichain checker."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +156,20 @@ def test_matching_budget_sentinel():
     assert result.states_explored == 2
 
 
+def test_matching_budget_bounds_a_large_cap():
+    # Ia from 1-2 under cap 1500 has C(1498, 2) candidates; the budget must
+    # stop the search long before they are all built
+    tracemalloc.start()
+    try:
+        result = matching_leq(M("1-2"), M("1-2 3-1500"), I_AND_II, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.comparable == BUDGET
+    assert result.states_explored == 11
+    assert peak < 1_000_000
+
+
 def _closure(start, kinds, cap):
     seen = {start}
     frontier = [start]
@@ -287,8 +302,11 @@ _WORD_MATCHING_CERTIFICATE = [
             word_to_matching((4, 2, 6, 1, 5, 3)), "I,II", None,
             True, 29550, _WORD_MATCHING_CERTIFICATE,
         ),
+        (matching_leq, M("1-6 2-5 3-7 4-8"), M("1-9 2-7 3-8 4-12 5-11 6-10"), "I,II",
+         3000, BUDGET, 3001, None),
     ],
-    ids=["fork-pair", "fork-pair-rule", "2143-34152", "fork-budget", "word-matchings"],
+    ids=["fork-pair", "fork-pair-rule", "2143-34152", "fork-budget", "word-matchings",
+         "matching-budget"],
 )
 def test_search_parity(decide, a, b, names, budget, comparable, states, certificate):
     kwargs = {} if budget is None else {"budget": budget}
