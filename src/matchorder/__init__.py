@@ -18,9 +18,7 @@ from .matchings import (
     Matching,
     MoveKind,
     decompose_intertwined,
-    enumerate_moves,
     is_intertwined,
-    matching_leq_total,
     matching_to_word,
     word_to_matching,
 )
@@ -39,10 +37,6 @@ from .permutations import (
     RewriteRule,
     bruhat_closure_leq,
     contains_pattern,
-    extended_rewrites,
-    insertions,
-    inversions,
-    type2_swaps,
 )
 
 __all__ = [
@@ -63,22 +57,16 @@ __all__ = [
     "bruhat_closure_leq",
     "contains_pattern",
     "decompose_intertwined",
-    "enumerate_moves",
-    "extended_rewrites",
     "fork_graph",
     "fork_permutation",
-    "insertions",
-    "inversions",
     "is_intertwined",
     "is_permutation_graph",
     "koh_ree_check",
     "matching_leq",
-    "matching_leq_total",
     "matching_to_word",
     "perm_leq",
     "permutation_from_labeled",
     "permutation_graph",
-    "type2_swaps",
     "verify_certificate",
     "word_to_matching",
 ]

@@ -27,11 +27,8 @@ from .permutations import Permutation
 __all__ = [
     "Matching",
     "MoveKind",
-    "edge_leq",
     "lex_key",
-    "matching_leq_total",
     "is_intertwined",
-    "enumerate_moves",
     "moves_with_params",
     "apply_move",
     "matching_to_word",
@@ -91,9 +88,6 @@ class Matching:
     def max_vertex(self) -> int:
         return max(j for _, j in self.edges) if self.edges else 0
 
-    def partner(self, v: int) -> int | None:
-        return self.partner_map.get(v)
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -121,18 +115,13 @@ def _parse_edge(token: str) -> tuple[int, int]:
     raise ValueError(f"bad edge token {token!r}")
 
 
-def edge_leq(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """Total order on normalized edges: compare larger endpoints, then smaller."""
-    (i, j), (k, l) = e1, e2
-    return j < l or (j == l and i <= k)
-
-
 def lex_key(m: Matching) -> tuple:
     """Sort key realizing the total order on matchings.
 
-    Fewer edges come first.  Between equal counts the edge lists, sorted
-    by edge_leq, are compared starting from the largest edge, which is the
-    same as comparing the order keys lexicographically.
+    Fewer edges come first.  Between equal counts the edge lists, each
+    edge ordered by its larger endpoint and then its smaller one, are
+    compared starting from the largest edge, which is the same as
+    comparing the order keys lexicographically.
     """
     return (len(m.edges), _order_key(m))
 
@@ -140,10 +129,6 @@ def lex_key(m: Matching) -> tuple:
 def _order_key(m: Matching) -> tuple[tuple[int, int], ...]:
     """The (larger, smaller) endpoint pairs of m, largest first."""
     return tuple(sorted(((j, i) for i, j in m.edges), reverse=True))
-
-
-def matching_leq_total(a: Matching, b: Matching) -> bool:
-    return lex_key(a) <= lex_key(b)
 
 
 def is_intertwined(m: Matching) -> bool:
@@ -157,8 +142,12 @@ def is_intertwined(m: Matching) -> bool:
 
 
 def _interval_clear(m: Matching, lo: int, hi: int, bound: int) -> bool:
-    """Every vertex strictly between lo and hi is unmatched or paired past bound."""
-    return all(m.partner_map.get(v, bound + 1) > bound for v in range(lo + 1, hi))
+    """Every vertex strictly between lo and hi is unmatched or paired past bound.
+
+    Only matched vertices can break this, so it walks the edges, not the
+    interval: labels may be far larger than the matching.
+    """
+    return all(w > bound for v, w in m.partner_map.items() if lo < v < hi)
 
 
 # plain globals for the hot loops below: enum member lookups and hashes are slow
@@ -254,26 +243,12 @@ def moves_with_params(
     )
 
 
-def enumerate_moves(m: Matching, kind: MoveKind, vertex_cap: int) -> set[Matching]:
-    """The set of matchings one move of the given kind away from m."""
-    return {result for _, result in moves_with_params(m, kind, vertex_cap)}
-
-
-def apply_move(
-    m: Matching,
-    kind: MoveKind,
-    params: Sequence[int],
-    vertex_cap: int | None = None,
-) -> Matching:
+def apply_move(m: Matching, kind: MoveKind, params: Sequence[int]) -> Matching:
     """Apply one move with the given parameters, validating its legality.
 
-    With vertex_cap None the move is unbounded, which is the right setting
-    when replaying certificates.  Raises ValueError on any illegal move.
+    No vertex cap applies, which is the setting certificates replay in.
+    Raises ValueError on any illegal move.
     """
-
-    def within(v: int) -> bool:
-        return vertex_cap is None or v <= vertex_cap
-
     params = tuple(params)
     edges = set(m.edges)
     if kind is MoveKind.TYPE_IA:
@@ -282,8 +257,6 @@ def apply_move(
             raise ValueError(f"Ia endpoints must satisfy {i} < {j}")
         if i in m.partner_map or j in m.partner_map:
             raise ValueError(f"Ia endpoints {i}, {j} must both be unmatched")
-        if not within(j):
-            raise ValueError(f"Ia vertex {j} exceeds the cap")
         return Matching(m.edges + ((i, j),))
     if kind is MoveKind.TYPE_IB:
         i, j, k, l = params
@@ -297,8 +270,6 @@ def apply_move(
             raise ValueError(f"Ib target {k}-{l} is not a one-step slide of {i}-{j}")
         if moved in m.partner_map:
             raise ValueError(f"Ib target vertex {moved} is matched")
-        if not within(moved):
-            raise ValueError(f"Ib vertex {moved} exceeds the cap")
         rest = tuple(e for e in m.edges if e != (i, j))
         return Matching(rest + ((k, l),))
     if kind in (MoveKind.TYPE_IIA, MoveKind.TYPE_IIB):

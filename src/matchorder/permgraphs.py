@@ -93,16 +93,6 @@ class LabeledGraph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((len(ns) for ns in self.neighbors.values()), reverse=True))
 
-    def relabel(self, mapping: dict[int, int]) -> "LabeledGraph":
-        """Rename vertices through a bijection of 1..n."""
-        if sorted(mapping) != list(range(1, self.n + 1)) or sorted(
-            mapping.values()
-        ) != list(range(1, self.n + 1)):
-            raise ValueError("relabeling must be a bijection of the vertex set")
-        return LabeledGraph(
-            self.n, tuple((mapping[i], mapping[j]) for i, j in self.edges)
-        )
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -216,10 +206,6 @@ def _canonical_order(g: LabeledGraph) -> tuple[int, ...]:
     return best_order
 
 
-def _as_labeled(g: LabeledGraph | UnlabeledGraph) -> LabeledGraph:
-    return g.representative if isinstance(g, UnlabeledGraph) else g
-
-
 def permutation_graph(p: Permutation) -> LabeledGraph:
     """The graph on values 1..n whose edges are the inversions of p."""
     return LabeledGraph(len(p), tuple(_inversion_pairs(p.letters)))
@@ -284,7 +270,7 @@ def permutation_from_labeled(g: LabeledGraph) -> Permutation:
 
 
 def is_permutation_graph(
-    g: LabeledGraph | UnlabeledGraph, cap: int = RECOGNITION_DEFAULT_CAP
+    g: LabeledGraph, cap: int = RECOGNITION_DEFAULT_CAP
 ) -> Permutation | None:
     """Some permutation whose inversion graph is isomorphic to g, if any.
 
@@ -292,19 +278,18 @@ def is_permutation_graph(
     filtering by edge count and degree sequence before paying for a
     canonical form.  Rejects graphs larger than cap vertices.
     """
-    labeled = _as_labeled(g)
-    if labeled.n == 0:
+    if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
-    if labeled.n > cap:
-        raise ValueError(f"recognition is capped at {cap} vertices, got {labeled.n}")
-    target = g if isinstance(g, UnlabeledGraph) else UnlabeledGraph(g)
-    edge_count = len(labeled.edges)
-    degrees = labeled.degree_sequence
-    for letters in itertools.permutations(range(1, labeled.n + 1)):
+    if g.n > cap:
+        raise ValueError(f"recognition is capped at {cap} vertices, got {g.n}")
+    target = UnlabeledGraph(g)
+    edge_count = len(g.edges)
+    degrees = g.degree_sequence
+    for letters in itertools.permutations(range(1, g.n + 1)):
         pairs = _inversion_pairs(letters)
         if len(pairs) != edge_count:
             continue
-        candidate = LabeledGraph(labeled.n, tuple(pairs))
+        candidate = LabeledGraph(g.n, tuple(pairs))
         if candidate.degree_sequence != degrees:
             continue
         if UnlabeledGraph(candidate) == target:
@@ -348,24 +333,22 @@ def fork_permutation(n: int) -> Permutation:
     return permutation_from_labeled(fork_labeled(n))
 
 
-def has_cycle(g: LabeledGraph | UnlabeledGraph) -> bool:
+def has_cycle(g: LabeledGraph) -> bool:
     """Does g contain a cycle?  A graph is a forest exactly when
     |E| = n - #components."""
-    labeled = _as_labeled(g)
-    return len(labeled.edges) > labeled.n - len(connected_components(labeled))
+    return len(g.edges) > g.n - len(connected_components(g))
 
 
-def connected_components(g: LabeledGraph | UnlabeledGraph) -> list[frozenset[int]]:
+def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
     """Vertex classes of the connectivity relation, ordered by least member."""
-    labeled = _as_labeled(g)
-    neighbors = labeled.neighbors
+    neighbors = g.neighbors
 
     def successors(v: int):
         return (((v, w), w) for w in neighbors[v])
 
     components: list[frozenset[int]] = []
     placed: set[int] = set()
-    for v in range(1, labeled.n + 1):
+    for v in range(1, g.n + 1):
         if v not in placed:
             component = frozenset(bfs(v, successors)[1])
             placed |= component
@@ -455,31 +438,24 @@ def _embeds(h: LabeledGraph, g: LabeledGraph, induced: bool) -> bool:
     return place(0)
 
 
-def is_subgraph(
-    h: LabeledGraph | UnlabeledGraph, g: LabeledGraph | UnlabeledGraph
-) -> bool:
+def is_subgraph(h: LabeledGraph, g: LabeledGraph) -> bool:
     """Does g contain a copy of h (extra edges allowed on the image)?"""
-    return _embeds(_as_labeled(h), _as_labeled(g), induced=False)
+    return _embeds(h, g, induced=False)
 
 
-def is_induced_subgraph(
-    h: LabeledGraph | UnlabeledGraph, g: LabeledGraph | UnlabeledGraph
-) -> bool:
+def is_induced_subgraph(h: LabeledGraph, g: LabeledGraph) -> bool:
     """Does g contain a copy of h with non-edges preserved as well?"""
-    return _embeds(_as_labeled(h), _as_labeled(g), induced=True)
+    return _embeds(h, g, induced=True)
 
 
-def to_dot(g: LabeledGraph | UnlabeledGraph) -> str:
+def to_dot(g: LabeledGraph) -> str:
     """Render as DOT, embedding the edge-list text in a comment so the
-    output can be parsed back.  Unlabeled graphs render without labels."""
-    labeled = _as_labeled(g)
+    output can be parsed back."""
     lines = ["graph matching_order {"]
-    lines.append(f"  {_DOT_COMMENT_PREFIX}{labeled.to_text()}")
-    if isinstance(g, UnlabeledGraph):
-        lines.append("  node [label=\"\"];")
-    for v in range(1, labeled.n + 1):
+    lines.append(f"  {_DOT_COMMENT_PREFIX}{g.to_text()}")
+    for v in range(1, g.n + 1):
         lines.append(f"  {v};")
-    for i, j in labeled.edges:
+    for i, j in g.edges:
         lines.append(f"  {i} -- {j};")
     lines.append("}")
     return "\n".join(lines)

@@ -1,15 +1,16 @@
 """Permutations in one-line notation and the single-step moves between them.
 
 A permutation of [n] is a tuple holding 1..n in some order, wrapped in
-:class:`Permutation` for validation and parsing.  The reachability engine
-works on bare letter tuples for speed, so every move generator comes in two
-flavors: a private tuple-level function returning ``(params, result)`` pairs
-in a fixed canonical order, and a public wrapper producing ``Permutation``
-sets.  The pair shape is the ``(step, next)`` shape the shared
-breadth-first search in ``_search`` consumes, so ``bruhat_closure_leq``
-passes ``_bruhat_successors`` to it as is.  The ``apply_*`` functions are
-the single-step validators used when replaying certificates; they re-check
-the legality condition instead of trusting the caller.
+:class:`Permutation` for validation and parsing.  Each move has exactly
+two forms.  The private generators ``_swap_successors``,
+``_insertion_successors`` and ``_rewrite_successors`` work on bare letter
+tuples, for speed, and return every move from a state as
+``(params, result)`` pairs in a fixed canonical order: the ``(step,
+next)`` shape the shared breadth-first search in ``_search`` consumes, so
+``bruhat_closure_leq`` passes ``_bruhat_successors`` to it as is.  The
+public ``apply_*`` functions apply one move with given parameters, as
+certificate replay needs; they re-check its legality themselves and never
+consult the generators, so each form can be tested against the other.
 """
 
 from __future__ import annotations
@@ -23,17 +24,11 @@ from ._search import bfs
 __all__ = [
     "Permutation",
     "RewriteRule",
-    "reduce",
     "contains_pattern",
-    "insertions",
-    "type2_swaps",
-    "inversions",
     "bruhat_closure_leq",
-    "extended_rewrites",
     "apply_swap",
     "apply_insertion",
     "apply_rewrite",
-    "all_permutations",
 ]
 
 
@@ -129,15 +124,6 @@ def _require_distinct(values: Sequence[int], what: str) -> tuple[int, ...]:
     return letters
 
 
-def reduce(word: Iterable[int]) -> Permutation:
-    """Replace each letter of a distinct-letter word by its rank.
-
-    reduce((3, 6, 4)) == Permutation((1, 3, 2)).
-    """
-    letters = _require_distinct(tuple(word), "word")
-    return Permutation(_ranks(letters))
-
-
 def contains_pattern(small: Iterable[int], big: Iterable[int]) -> bool:
     """Does big have a subsequence order isomorphic to small, letterwise >= it?
 
@@ -175,11 +161,6 @@ def _insertion_successors(
     return out
 
 
-def insertions(p: Permutation) -> set[Permutation]:
-    """All permutations one letter longer than p that contain p as a pattern."""
-    return {Permutation(result) for _, result in _insertion_successors(p.letters)}
-
-
 def apply_insertion(p: Permutation, value: int, position: int) -> Permutation:
     """Insert value at the 1-based position, shifting letters >= value up."""
     n = len(p)
@@ -213,11 +194,6 @@ def _swap_successors(
     return out
 
 
-def type2_swaps(p: Permutation) -> set[Permutation]:
-    """All results of swapping values i < j under the betweenness condition."""
-    return {Permutation(result) for _, result in _swap_successors(p.letters)}
-
-
 def apply_swap(p: Permutation, i: int, j: int) -> Permutation:
     """Swap values i < j, enforcing the betweenness condition."""
     n = len(p)
@@ -244,11 +220,6 @@ def _inversion_pairs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
     ]
 
 
-def inversions(p: Permutation) -> set[tuple[int, int]]:
-    """Value pairs (i, j), i < j, with i appearing after j."""
-    return set(_inversion_pairs(p.letters))
-
-
 def _bruhat_successors(
     letters: tuple[int, ...]
 ) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
@@ -273,7 +244,7 @@ def _bruhat_successors(
 def bruhat_closure_leq(a: Permutation, b: Permutation) -> bool:
     """Is b reachable from a by repeated unconstrained-interval swaps?
 
-    The swap rule here is looser than the one in type2_swaps: the values
+    The swap rule here is looser than the one in apply_swap: the values
     between i and j may sit on either side of the pair, as long as none
     sits strictly between the two swapped positions.
     """
@@ -311,16 +282,6 @@ def _rewrite_successors(
     return out
 
 
-def extended_rewrites(
-    p: Permutation, rules: Iterable[RewriteRule]
-) -> set[Permutation]:
-    """All permutations obtained from p by one rule application."""
-    return {
-        Permutation(result)
-        for _, result in _rewrite_successors(p.letters, tuple(rules))
-    }
-
-
 def apply_rewrite(p: Permutation, rule: RewriteRule, start: int) -> Permutation:
     """Apply rule at the window beginning at 1-based position start."""
     width = len(rule.lhs)
@@ -334,9 +295,3 @@ def apply_rewrite(p: Permutation, rule: RewriteRule, start: int) -> Permutation:
     ordered = sorted(window)
     replacement = tuple(ordered[r - 1] for r in rule.rhs.letters)
     return Permutation(p.letters[: start - 1] + replacement + p.letters[start - 1 + width :])
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """Yield all of S_n in lexicographic order."""
-    for letters in itertools.permutations(range(1, n + 1)):
-        yield Permutation(letters)

@@ -2,6 +2,7 @@
 
 import io
 import json
+from time import perf_counter
 
 import pytest
 
@@ -281,6 +282,27 @@ def test_verify_json_reports_an_illegal_step(tmp_path):
         '{"valid": false, "failed_step": 0, '
         '"reason": "swap needs 1 positioned before 2"}\n',
     )
+
+
+def test_verify_time_follows_the_edges_not_the_labels(monkeypatch):
+    # each step's interval side condition spans about 10**9 vertex labels
+    big = 10**9
+    cases = [
+        (f"1-{big + 3} {big + 1}-{big + 2}", f"IIa 1 {big + 1} {big + 2} {big + 3}",
+         f"1-{big + 2} {big + 1}-{big + 3}", "valid\n"),
+        (f"1-{big + 2} 2-{big + 3}", f"IIb 1 2 {big + 2} {big + 3}",
+         f"1-2 {big + 2}-{big + 3}", "valid\n"),
+        (f"1-{big + 3} 5-6 {big + 1}-{big + 2}", f"IIa 1 {big + 1} {big + 2} {big + 3}",
+         f"1-{big + 2} 5-6 {big + 1}-{big + 3}",
+         f"invalid at step 0: a vertex between 1 and {big + 1} is matched at or below"
+         f" {big + 2}\n"),
+    ]
+    started = perf_counter()
+    for start, step, end, expected in cases:
+        doc = {"kind": "matching", "start": start, "end": end, "certificate": [step]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert run("verify") == (0, expected)
+    assert perf_counter() - started < 1.0
 
 
 def test_verify_rejects_malformed_json(monkeypatch, capsys):

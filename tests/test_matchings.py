@@ -11,11 +11,8 @@ from matchorder.matchings import (
     all_matchings,
     apply_move,
     decompose_intertwined,
-    edge_leq,
-    enumerate_moves,
     is_intertwined,
     lex_key,
-    matching_leq_total,
     matching_to_word,
     moves_with_params,
     word_to_matching,
@@ -25,6 +22,36 @@ from matchorder.permutations import Permutation
 
 def matchings_cap(max_vertex):
     return list(all_matchings(max_vertex))
+
+
+def candidate_params(m, kind, cap):
+    """Every parameter tuple worth trying: the pairs for Ia, the two slides
+    of each edge for Ib, and the increasing quadruples for IIa and IIb.
+    Vertices reach one past the cap, so the cap filter has work to do."""
+    vertices = range(1, cap + 2)
+    if kind is MoveKind.TYPE_IA:
+        return list(itertools.combinations(vertices, 2))
+    if kind is MoveKind.TYPE_IB:
+        return [p for i, j in m.edges for p in ((i, j, i + 1, j), (i, j, i, j + 1))]
+    return list(itertools.combinations(vertices, 4))
+
+
+def legal_moves(m, kind, cap):
+    """(params, result) for every candidate on which apply_move succeeds and
+    whose result stays within the cap, in the total order."""
+    out = []
+    for params in candidate_params(m, kind, cap):
+        try:
+            result = apply_move(m, kind, params)
+        except ValueError:
+            continue
+        if result.max_vertex <= cap:
+            out.append((params, result))
+    return sorted(out, key=lambda move: (lex_key(move[1]), move[0]))
+
+
+def moves(m, kind, cap):
+    return {result for _, result in moves_with_params(m, kind, cap)}
 
 
 @st.composite
@@ -79,37 +106,20 @@ def test_max_vertex():
 
 def test_partner_lookup():
     m = Matching.from_text("1-5 2-3")
-    assert m.partner(1) == 5
-    assert m.partner(3) == 2
-    assert m.partner(4) is None
+    assert m.partner_map == {1: 5, 5: 1, 2: 3, 3: 2}
+    assert m.partner_map.get(4) is None
     assert sorted(m.partner_map) == [1, 2, 3, 5]
-
-
-def test_edge_leq_is_a_total_order():
-    edges = [(i, j) for i in range(1, 5) for j in range(i + 1, 6)]
-    for e1 in edges:
-        assert edge_leq(e1, e1)
-        for e2 in edges:
-            assert edge_leq(e1, e2) or edge_leq(e2, e1)
-            if edge_leq(e1, e2) and edge_leq(e2, e1):
-                assert e1 == e2
-            for e3 in edges:
-                if edge_leq(e1, e2) and edge_leq(e2, e3):
-                    assert edge_leq(e1, e3)
 
 
 def test_nested_pair_below_crossing_pair():
     nested = Matching.from_text("1-4 2-3")
     crossing = Matching.from_text("1-3 2-4")
-    assert matching_leq_total(nested, crossing)
-    assert not matching_leq_total(crossing, nested)
+    assert lex_key(nested) < lex_key(crossing)
 
 
 def test_fewer_edges_come_first():
-    assert matching_leq_total(Matching(()), Matching.from_text("7-9"))
-    assert matching_leq_total(
-        Matching.from_text("1-9"), Matching.from_text("1-2 3-4")
-    )
+    assert lex_key(Matching(())) < lex_key(Matching.from_text("7-9"))
+    assert lex_key(Matching.from_text("1-9")) < lex_key(Matching.from_text("1-2 3-4"))
 
 
 def test_lex_key_linearly_orders_small_matchings():
@@ -133,39 +143,39 @@ def test_is_intertwined():
 
 def test_add_edge_moves():
     m = Matching.from_text("1-3")
-    assert enumerate_moves(m, MoveKind.TYPE_IA, 5) == {
+    assert moves(m, MoveKind.TYPE_IA, 5) == {
         Matching.from_text("1-3 2-4"),
         Matching.from_text("1-3 2-5"),
         Matching.from_text("1-3 4-5"),
     }
-    assert enumerate_moves(Matching(()), MoveKind.TYPE_IA, 2) == {
+    assert moves(Matching(()), MoveKind.TYPE_IA, 2) == {
         Matching.from_text("1-2")
     }
 
 
 def test_slide_moves():
-    assert enumerate_moves(Matching.from_text("1-2"), MoveKind.TYPE_IB, 3) == {
+    assert moves(Matching.from_text("1-2"), MoveKind.TYPE_IB, 3) == {
         Matching.from_text("1-3")
     }
-    assert enumerate_moves(
+    assert moves(
         Matching.from_text("1-2 4-5"), MoveKind.TYPE_IB, 6
     ) == {
         Matching.from_text("1-3 4-5"),
         Matching.from_text("1-2 4-6"),
     }
     # no room below the cap, no slide
-    assert enumerate_moves(Matching.from_text("1-2"), MoveKind.TYPE_IB, 2) == set()
+    assert moves(Matching.from_text("1-2"), MoveKind.TYPE_IB, 2) == set()
 
 
 def test_uncross_nested_pair():
-    assert enumerate_moves(Matching.from_text("1-4 2-3"), MoveKind.TYPE_IIA, 4) == {
+    assert moves(Matching.from_text("1-4 2-3"), MoveKind.TYPE_IIA, 4) == {
         Matching.from_text("1-3 2-4")
     }
 
 
 def test_nested_rearrangements_with_a_spectator_edge():
     m = Matching.from_text("1-6 2-5 3-4")
-    assert enumerate_moves(m, MoveKind.TYPE_IIA, 6) == {
+    assert moves(m, MoveKind.TYPE_IIA, 6) == {
         Matching.from_text("1-5 2-6 3-4"),
         Matching.from_text("1-4 2-5 3-6"),
         Matching.from_text("1-6 2-4 3-5"),
@@ -175,11 +185,11 @@ def test_nested_rearrangements_with_a_spectator_edge():
 def test_nested_rearrangement_blocked_by_low_partner():
     # vertex 3 sits between 2 and 4 and is matched down at 1, below c = 5
     m = Matching.from_text("1-3 2-6 4-5")
-    assert enumerate_moves(m, MoveKind.TYPE_IIA, 6) == set()
+    assert moves(m, MoveKind.TYPE_IIA, 6) == set()
 
 
 def test_crossing_rearrangement():
-    assert enumerate_moves(Matching.from_text("1-3 2-4"), MoveKind.TYPE_IIB, 4) == {
+    assert moves(Matching.from_text("1-3 2-4"), MoveKind.TYPE_IIB, 4) == {
         Matching.from_text("1-2 3-4")
     }
 
@@ -187,10 +197,10 @@ def test_crossing_rearrangement():
 def test_crossing_rearrangement_interval_condition():
     # vertex 4 lies between 3 and 6 and is matched at 5 <= 6: blocked
     blocked = Matching.from_text("1-6 3-7 4-5")
-    assert enumerate_moves(blocked, MoveKind.TYPE_IIB, 7) == set()
+    assert moves(blocked, MoveKind.TYPE_IIB, 7) == set()
     # matching 4 past the interval bound unblocks two rearrangements
     free = Matching.from_text("1-6 3-7 4-8")
-    assert enumerate_moves(free, MoveKind.TYPE_IIB, 8) == {
+    assert moves(free, MoveKind.TYPE_IIB, 8) == {
         Matching.from_text("1-3 4-8 6-7"),
         Matching.from_text("1-4 3-7 6-8"),
     }
@@ -213,10 +223,11 @@ def test_moves_are_sorted_and_deterministic():
 
 
 def test_apply_move_matches_enumeration():
-    for m in matchings_cap(7):
-        for kind in MoveKind:
-            for params, result in moves_with_params(m, kind, 7):
-                assert apply_move(m, kind, params, 7) == result
+    # both directions: every generated move is legal, every legal move generated
+    for cap in range(8):
+        for m in matchings_cap(cap):
+            for kind in MoveKind:
+                assert moves_with_params(m, kind, cap) == tuple(legal_moves(m, kind, cap))
 
 
 def test_apply_move_rejects_illegal_moves():
@@ -232,14 +243,6 @@ def test_apply_move_rejects_illegal_moves():
     blocked = Matching.from_text("1-3 2-6 4-5")
     with pytest.raises(ValueError, match="matched at or below"):
         apply_move(blocked, MoveKind.TYPE_IIA, (2, 4, 5, 6))
-
-
-def test_apply_move_cap_is_optional():
-    m = Matching.from_text("1-2")
-    slid = apply_move(m, MoveKind.TYPE_IB, (1, 2, 1, 3))
-    assert slid == Matching.from_text("1-3")
-    with pytest.raises(ValueError, match="cap"):
-        apply_move(m, MoveKind.TYPE_IB, (1, 2, 1, 3), vertex_cap=2)
 
 
 def test_word_bijection_examples():

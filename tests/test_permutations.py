@@ -5,20 +5,19 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from matchorder.permgraphs import permutation_graph
 from matchorder.permutations import (
     Permutation,
     RewriteRule,
-    all_permutations,
+    _insertion_successors,
+    _ranks,
+    _rewrite_successors,
+    _swap_successors,
     apply_insertion,
     apply_rewrite,
     apply_swap,
     bruhat_closure_leq,
     contains_pattern,
-    extended_rewrites,
-    insertions,
-    inversions,
-    reduce,
-    type2_swaps,
 )
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
@@ -26,6 +25,25 @@ perms = st.integers(min_value=1, max_value=7).flatmap(
         lambda letters: Permutation(tuple(letters))
     )
 )
+
+
+def permutations_of(n):
+    return [Permutation(letters) for letters in itertools.permutations(range(1, n + 1))]
+
+
+def inversions(p):
+    return set(permutation_graph(p).edges)
+
+
+def legal_moves(apply, p, candidates):
+    """(params, letters) for every candidate on which the validator succeeds."""
+    out = []
+    for params in candidates:
+        try:
+            out.append((params, apply(p, *params).letters))
+        except ValueError:
+            pass
+    return out
 
 
 def test_validation():
@@ -53,10 +71,10 @@ def test_from_text_rejects_garbage():
 
 
 def test_reduce():
-    assert reduce((3, 6, 4)) == Permutation((1, 3, 2))
-    assert reduce((7,)) == Permutation((1,))
+    assert _ranks((3, 6, 4)) == (1, 3, 2)
+    assert _ranks((7,)) == (1,)
     with pytest.raises(ValueError, match="distinct"):
-        reduce((2, 2))
+        contains_pattern((2, 2), (1, 2, 3))
 
 
 def test_contains_pattern_basics():
@@ -78,9 +96,9 @@ def test_contains_pattern_letterwise_floor():
 def test_contains_pattern_on_permutations_is_plain_containment():
     # the letterwise floor never bites when both words are permutations
     def order_only(small, big):
-        target = reduce(small).letters
+        target = _ranks(small)
         return any(
-            reduce(tuple(big[p] for p in positions)).letters == target
+            _ranks(tuple(big[p] for p in positions)) == target
             for positions in itertools.combinations(range(len(big)), len(small))
         )
 
@@ -90,27 +108,35 @@ def test_contains_pattern_on_permutations_is_plain_containment():
                 assert contains_pattern(small, big) == order_only(small, big)
 
 
+def insertions(p):
+    return {result for _, result in _insertion_successors(p.letters)}
+
+
 def test_insertions_of_short_permutations():
-    assert insertions(Permutation((1,))) == {
-        Permutation((1, 2)),
-        Permutation((2, 1)),
-    }
+    assert insertions(Permutation((1,))) == {(1, 2), (2, 1)}
     assert insertions(Permutation((1, 2))) == {
-        Permutation(p)
-        for p in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2))
+        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)
     }
 
 
 def test_insertions_are_exactly_the_one_longer_superpatterns():
     for n in range(1, 5):
-        for letters in itertools.permutations(range(1, n + 1)):
-            p = Permutation(letters)
+        for p in permutations_of(n):
             above = {
-                q
-                for q in all_permutations(n + 1)
-                if contains_pattern(letters, q.letters)
+                q.letters
+                for q in permutations_of(n + 1)
+                if contains_pattern(p.letters, q.letters)
             }
             assert insertions(p) == above
+
+
+def test_insertion_successors_are_exactly_the_legal_insertions():
+    # every (value, position), out-of-range ones included, value-major
+    for n in range(1, 7):
+        candidates = list(itertools.product(range(n + 3), repeat=2))
+        for p in permutations_of(n):
+            expected = legal_moves(apply_insertion, p, candidates)
+            assert _insertion_successors(p.letters) == expected
 
 
 def test_apply_insertion():
@@ -123,11 +149,12 @@ def test_apply_insertion():
         apply_insertion(Permutation((1, 2)), 1, 4)
 
 
+def swaps(p):
+    return {result for _, result in _swap_successors(p.letters)}
+
+
 def test_type2_swaps_examples():
-    assert type2_swaps(Permutation((2, 1, 4, 3))) == {
-        Permutation((2, 3, 4, 1)),
-        Permutation((3, 1, 4, 2)),
-    }
+    assert swaps(Permutation((2, 1, 4, 3))) == {(2, 3, 4, 1), (3, 1, 4, 2)}
     assert apply_swap(Permutation((3, 2, 1, 4)), 2, 4) == Permutation((3, 4, 1, 2))
     assert apply_swap(Permutation((3, 4, 1, 2)), 1, 2) == Permutation((3, 4, 2, 1))
 
@@ -140,6 +167,14 @@ def test_apply_swap_rejects_illegal_swaps():
         apply_swap(Permutation((1, 3, 2)), 1, 3)
     with pytest.raises(ValueError, match="range"):
         apply_swap(Permutation((1, 2)), 2, 2)
+
+
+def test_swap_successors_are_exactly_the_legal_swaps():
+    # every (i, j), out-of-range and unordered ones included, in (i, j) order
+    for n in range(1, 7):
+        candidates = list(itertools.product(range(n + 2), repeat=2))
+        for p in permutations_of(n):
+            assert _swap_successors(p.letters) == legal_moves(apply_swap, p, candidates)
 
 
 def test_inversions():
@@ -167,8 +202,8 @@ def test_inversions_match_position_pair_count(p):
 @given(perms)
 def test_swaps_strictly_add_inversions(p):
     before = len(inversions(p))
-    for q in type2_swaps(p):
-        assert len(inversions(q)) > before
+    for q in swaps(p):
+        assert len(inversions(Permutation(q))) > before
 
 
 def _dominance_leq(a, b):
@@ -185,7 +220,7 @@ def _dominance_leq(a, b):
 
 def test_cover_closure_against_dominance_oracle():
     for n in range(1, 5):
-        universe = list(all_permutations(n))
+        universe = permutations_of(n)
         for a in universe:
             for b in universe:
                 assert bruhat_closure_leq(a, b) == _dominance_leq(a, b)
@@ -210,10 +245,14 @@ def test_rewrite_rule_validation():
     assert rule.to_text() == "231-312"
 
 
+def rewrites(p, rules):
+    return {result for _, result in _rewrite_successors(p.letters, rules)}
+
+
 def test_rewrites():
     rule = RewriteRule.from_text("231-312")
     p = Permutation((4, 1, 2, 5, 6, 3))
-    assert extended_rewrites(p, [rule]) == {Permutation((4, 1, 2, 6, 3, 5))}
+    assert rewrites(p, [rule]) == {(4, 1, 2, 6, 3, 5)}
     assert apply_rewrite(p, rule, 4) == Permutation((4, 1, 2, 6, 3, 5))
     whole = RewriteRule.from_text("2341-4123")
     assert apply_rewrite(Permutation((2, 3, 4, 1)), whole, 1) == Permutation(
@@ -233,23 +272,26 @@ def test_rewrites_fire_on_every_window():
     # both occurrences of the descent pattern are rewritten independently
     rule = RewriteRule.from_text("21-12")
     p = Permutation((2, 1, 4, 3))
-    assert extended_rewrites(p, [rule]) == {
-        Permutation((1, 2, 4, 3)),
-        Permutation((2, 1, 3, 4)),
-    }
+    assert rewrites(p, [rule]) == {(1, 2, 4, 3), (2, 1, 3, 4)}
 
 
 @given(perms)
 def test_rewrite_results_keep_the_window_letters(p):
     rule = RewriteRule.from_text("21-12")
-    for q in extended_rewrites(p, [rule]):
-        assert sorted(q.letters) == sorted(p.letters)
+    for q in rewrites(p, [rule]):
+        assert sorted(q) == sorted(p.letters)
 
 
-def test_all_permutations():
-    listed = list(all_permutations(3))
-    assert len(listed) == 6
-    assert listed[0] == Permutation((1, 2, 3))
-    assert listed[-1] == Permutation((3, 2, 1))
-    texts = [p.to_text() for p in listed]
-    assert texts == sorted(texts)
+def test_rewrite_successors_are_exactly_the_legal_rewrites():
+    # rule-major, then every window start, out-of-range ones included
+    rules = [RewriteRule.from_text(t) for t in ("231-312", "21-12", "2143-3412")]
+    for n in range(1, 7):
+        for p in permutations_of(n):
+            expected = [
+                move
+                for rule in rules
+                for move in legal_moves(
+                    apply_rewrite, p, [(rule, start) for start in range(n + 2)]
+                )
+            ]
+            assert _rewrite_successors(p.letters, rules) == expected
