@@ -143,6 +143,53 @@ def test_recovery_round_trip():
             assert permutation_from_labeled(permutation_graph(p)) == p
 
 
+def _recover_by_precedence(g):
+    """Recovery by counting, for each value, the values that precede it."""
+    transitive, between = koh_ree_check(g)
+    if not (transitive and between):
+        raise ValueError(
+            f"graph fails the inversion-set characterization "
+            f"(transitive={transitive}, betweenness={between})"
+        )
+    edges = set(g.edges)
+
+    def precedes(u, w):
+        return (u, w) not in edges if u < w else (w, u) in edges
+
+    count = {
+        v: sum(1 for u in range(1, g.n + 1) if u != v and precedes(u, v))
+        for v in range(1, g.n + 1)
+    }
+    if sorted(count.values()) != list(range(g.n)):
+        raise ValueError("precedence relation does not linearize")
+    letters = tuple(sorted(count, key=count.get))
+    result = Permutation(letters)
+    if set(_inversion_pairs(letters)) != edges:
+        raise ValueError("recovered permutation does not reproduce the edge set")
+    return result
+
+
+def _outcome(recover, g):
+    try:
+        return recover(g)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(
+    st.one_of(
+        labeled_graphs(),
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.permutations(range(1, n + 1)).map(
+                lambda letters: permutation_graph(Permutation(tuple(letters)))
+            )
+        ),
+    )
+)
+def test_recovery_matches_the_pairwise_precedence_count(g):
+    assert _outcome(permutation_from_labeled, g) == _outcome(_recover_by_precedence, g)
+
+
 def test_recovery_rejects_failing_graphs():
     with pytest.raises(ValueError, match="transitive=False"):
         permutation_from_labeled(LabeledGraph(3, ((1, 2), (2, 3))))

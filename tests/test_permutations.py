@@ -9,6 +9,7 @@ from matchorder.permgraphs import permutation_graph
 from matchorder.permutations import (
     Permutation,
     RewriteRule,
+    _bruhat_successors,
     _insertion_successors,
     _ranks,
     _rewrite_successors,
@@ -224,6 +225,23 @@ def test_cover_closure_against_dominance_oracle():
         for a in universe:
             for b in universe:
                 assert bruhat_closure_leq(a, b) == _dominance_leq(a, b)
+
+
+def test_bruhat_successors_are_exactly_the_covers():
+    # swap values i < j, i to the left, when no position strictly between
+    # theirs holds a value strictly between them; listed in (i, j) order
+    for n in range(1, 8):
+        for letters in itertools.permutations(range(1, n + 1)):
+            expected = []
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                left, right = letters.index(i), letters.index(j)
+                if left < right and not any(
+                    i < letters[k] < j for k in range(left + 1, right)
+                ):
+                    swapped = list(letters)
+                    swapped[left], swapped[right] = j, i
+                    expected.append(((i, j), tuple(swapped)))
+            assert _bruhat_successors(letters) == expected
 
 
 def test_cover_closure_basics():
