@@ -130,10 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     suite = command("suite", _cmd_suite, "run the exhaustive property suites")
     suite.add_argument(
         "--max-n",
-        type=_positive,
+        type=int,
+        choices=range(1, 8),
         default=7,
-        help="length cap for the exhaustive permutation scans (default 7); "
-        "the matching scan uses one more vertex than this",
+        help="length cap for the exhaustive permutation scans, 1 to 7 "
+        "(default 7); the matching scan uses one more vertex than this",
+        metavar="N",
     )
     add_budget(suite)
     suite.add_argument(

@@ -112,7 +112,8 @@ class MoveSet:
 @dataclass(frozen=True)
 class Step:
     """One recorded move.  params are 1-based vertex, value, or position
-    numbers; rule steps carry the rule in text form."""
+    numbers, except that a rule step's params are (RewriteRule, start);
+    its text form still names the rule as "lhs-rhs"."""
 
     kind: str
     params: tuple
@@ -130,7 +131,7 @@ class Step:
         if self.kind == "insert":
             return f"insert {p[0]} @ {p[1]}"
         if self.kind == "rule":
-            return f"rule {p[0]} @ {p[1]}"
+            return f"rule {p[0].to_text()} @ {p[1]}"
         raise ValueError(f"unknown step kind {self.kind!r}")
 
     @classmethod
@@ -151,8 +152,7 @@ class Step:
             if kind == "insert" and len(tokens) == 4 and tokens[2] == "@":
                 return cls(kind, (int(tokens[1]), int(tokens[3])))
             if kind == "rule" and len(tokens) == 4 and tokens[2] == "@":
-                RewriteRule.from_text(tokens[1])
-                return cls(kind, (tokens[1], int(tokens[3])))
+                return cls(kind, (RewriteRule.from_text(tokens[1]), int(tokens[3])))
         except ValueError as exc:
             raise ValueError(f"bad step {text!r}: {exc}") from None
         raise ValueError(f"bad step {text!r}")
@@ -292,20 +292,13 @@ def perm_leq(
     outcome, parents = bfs(start, successors, target, budget=budget)
     certificate = None
     if outcome is True:
-        steps = tuple(_perm_step(*step) for step in path(parents, target))
+        steps = tuple(Step(kind, params) for kind, params in path(parents, target))
         certificate = Certificate("perm", a, b, steps)
     return SearchResult(outcome, certificate, len(parents))
 
 
-def _perm_step(kind: str, params: tuple) -> Step:
-    """The search carries rule objects; certificates carry the rule text."""
-    if kind == "rule":
-        rule, start_pos = params
-        return Step(kind, (rule.to_text(), start_pos))
-    return Step(kind, params)
-
-
 _MATCHING_STEP_KINDS = {k.value: k for k in MoveKind}
+_PERM_STEP_APPLY = {"swap": apply_swap, "insert": apply_insertion, "rule": apply_rewrite}
 
 
 def _apply_step(kind: str, state, step: Step):
@@ -314,14 +307,10 @@ def _apply_step(kind: str, state, step: Step):
         if move_kind is None:
             raise ValueError(f"step kind {step.kind!r} is not a matching move")
         return apply_move(state, move_kind, step.params)
-    if step.kind == "swap":
-        return apply_swap(state, *step.params)
-    if step.kind == "insert":
-        return apply_insertion(state, *step.params)
-    if step.kind == "rule":
-        rule_text, start_pos = step.params
-        return apply_rewrite(state, RewriteRule.from_text(rule_text), start_pos)
-    raise ValueError(f"step kind {step.kind!r} is not a permutation move")
+    apply = _PERM_STEP_APPLY.get(step.kind)
+    if apply is None:
+        raise ValueError(f"step kind {step.kind!r} is not a permutation move")
+    return apply(state, *step.params)
 
 
 def verify_certificate(certificate: Certificate) -> VerificationResult:

@@ -123,31 +123,26 @@ class UnlabeledGraph:
 
     The canonical form is computed eagerly at construction, so equality
     and hashing are cheap afterwards.  ``representative`` is the canonical
-    relabeling of the input, a LabeledGraph other code can work with.
+    relabeling of the input, a LabeledGraph other code can work with, and
+    equality and hashing compare it.
     """
 
-    __slots__ = ("n", "canonical_edges", "representative")
+    __slots__ = ("representative",)
 
     def __init__(self, source: LabeledGraph):
         order = _canonical_order(source)
         new_label = {v: k + 1 for k, v in enumerate(order)}
-        edges = tuple(
-            sorted(
-                tuple(sorted((new_label[i], new_label[j])))
-                for i, j in source.edges
-            )
+        self.representative = LabeledGraph(
+            source.n, tuple((new_label[i], new_label[j]) for i, j in source.edges)
         )
-        self.n = source.n
-        self.canonical_edges = edges
-        self.representative = LabeledGraph(source.n, edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnlabeledGraph):
             return NotImplemented
-        return self.n == other.n and self.canonical_edges == other.canonical_edges
+        return self.representative == other.representative
 
     def __hash__(self) -> int:
-        return hash((self.n, self.canonical_edges))
+        return hash(self.representative)
 
     def __repr__(self) -> str:
         return f"UnlabeledGraph({self.representative.to_text()!r})"
@@ -237,10 +232,11 @@ def koh_ree_check(g: LabeledGraph) -> tuple[bool, bool]:
 def permutation_from_labeled(g: LabeledGraph) -> Permutation:
     """Recover the unique permutation whose inversion set is g's edge set.
 
-    Value u precedes value w in one-line order exactly when they are in
-    order (u < w, no edge) or inverted (u > w, edge).  Counting
-    predecessors linearizes the values when the graph passes the
-    characterization check; the round trip is verified before returning.
+    Value v is preceded by the smaller values it is in order with and the
+    larger values it is inverted with, so its 0-based position is
+    v - 1 - #(smaller neighbours) + #(larger neighbours).  Those positions
+    linearize the values when the graph passes the characterization check;
+    the round trip is verified before returning.
     """
     transitive, between = koh_ree_check(g)
     if not (transitive and between):
@@ -248,23 +244,18 @@ def permutation_from_labeled(g: LabeledGraph) -> Permutation:
             f"graph fails the inversion-set characterization "
             f"(transitive={transitive}, betweenness={between})"
         )
-    edges = set(g.edges)
     n = g.n
-
-    def precedes(u: int, w: int) -> bool:
-        if u < w:
-            return (u, w) not in edges
-        return (w, u) in edges
-
-    count = {
-        v: sum(1 for u in range(1, n + 1) if u != v and precedes(u, v))
-        for v in range(1, n + 1)
-    }
-    if sorted(count.values()) != list(range(n)):
+    position = list(range(-1, n))  # position[v] starts at v - 1; slot 0 is unused
+    for i, j in g.edges:
+        position[i] += 1
+        position[j] -= 1
+    if sorted(position[1:]) != list(range(n)):
         raise ValueError("precedence relation does not linearize")
-    letters = tuple(v for v, _ in sorted(count.items(), key=lambda item: item[1]))
-    result = Permutation(letters)
-    if set(_inversion_pairs(letters)) != edges:
+    letters = [0] * n
+    for v in range(1, n + 1):
+        letters[position[v]] = v
+    result = Permutation(tuple(letters))
+    if _inversion_pairs(result.letters) != list(g.edges):
         raise ValueError("recovered permutation does not reproduce the edge set")
     return result
 

@@ -178,16 +178,21 @@ def _swap_successors(
     """All legal value swaps as ((i, j), result) pairs, ordered by (i, j).
 
     Values i < j may swap when i sits before j and every value strictly
-    between them sits before j's position.
+    between them sits before j's position.  For fixed i, reach is the
+    furthest position among the values i..j-1, so (i, j) is legal exactly
+    when j sits beyond reach, and then j becomes the furthest.
     """
     n = len(letters)
-    pos = {v: k for k, v in enumerate(letters)}
+    pos = [0] * (n + 1)
+    for k, v in enumerate(letters):
+        pos[v] = k
     out = []
     for i in range(1, n):
-        pi = pos[i]
+        pi = reach = pos[i]
         for j in range(i + 1, n + 1):
             pj = pos[j]
-            if pi < pj and all(pos[v] < pj for v in range(i + 1, j)):
+            if pj > reach:
+                reach = pj
                 swapped = list(letters)
                 swapped[pi], swapped[pj] = j, i
                 out.append(((i, j), tuple(swapped)))
@@ -224,17 +229,25 @@ def _bruhat_successors(
     letters: tuple[int, ...]
 ) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
     """One-swap covers as ((i, j), result) pairs: swap i < j (i before j)
-    when every value between them sits before i or after j."""
+    when every value between them sits before i or after j.
+
+    For fixed i, bound is the nearest position right of i's among the
+    values i+1..j-1 (n when there is none), so (i, j) is a cover exactly
+    when j sits right of i and left of bound, and then j becomes the
+    nearest.
+    """
     n = len(letters)
-    pos = {v: k for k, v in enumerate(letters)}
+    pos = [0] * (n + 1)
+    for k, v in enumerate(letters):
+        pos[v] = k
     out = []
     for i in range(1, n):
         pi = pos[i]
+        bound = n
         for j in range(i + 1, n + 1):
             pj = pos[j]
-            if pi < pj and all(
-                pos[v] < pi or pos[v] > pj for v in range(i + 1, j)
-            ):
+            if pi < pj < bound:
+                bound = pj
                 swapped = list(letters)
                 swapped[pi], swapped[pj] = j, i
                 out.append(((i, j), tuple(swapped)))

@@ -49,6 +49,7 @@ from .permgraphs import (
 )
 from .permutations import (
     Permutation,
+    RewriteRule,
     _bruhat_successors,
     _insertion_successors,
     _inversion_pairs,
@@ -280,7 +281,7 @@ def criterion_a9(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
         start,
         end,
         (
-            Step("rule", ("231-312", 4)),
+            Step("rule", (RewriteRule.from_text("231-312"), 4)),
             Step("insert", (7, 6)),
             Step("insert", (8, 7)),
         ),

@@ -399,6 +399,17 @@ def test_suite_unknown_criterion(capsys):
         assert message in err and err.count("\n") == 1, criteria
 
 
+def test_suite_max_n_is_bounded_to_the_stated_sizes(capsys):
+    # each step past 7 multiplies the S_n scans by n, so 8 is refused
+    for value in ("0", "8", "100"):
+        code, out = run("suite", "--criteria", "A7", "--max-n", value)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, ""), value
+        assert err.startswith("error: argument --max-n") and err.count("\n") == 1, value
+    code, out = run("suite", "--criteria", "A7", "--max-n", "1")
+    assert code == 0 and out.startswith("A7 pass")
+
+
 def test_suite_reports_failure_with_exit_three():
     # a one-state budget starves the searches the first criterion needs
     code, out = run("suite", "--criteria", "A1", "--budget", "1")

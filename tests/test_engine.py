@@ -26,7 +26,12 @@ from matchorder.matchings import (
     lex_key,
     word_to_matching,
 )
-from matchorder.permutations import Permutation, _swap_successors, contains_pattern
+from matchorder.permutations import (
+    Permutation,
+    RewriteRule,
+    _swap_successors,
+    contains_pattern,
+)
 from test_matchings import legal_moves
 
 I_AND_II = MoveSet.from_names("I,II")
@@ -92,6 +97,11 @@ def test_step_text_round_trips():
         "rule 231-312 @ 4",
     ):
         assert Step.from_text(text).to_text() == text
+    # a rule step keeps the parsed rule, the same step the search records
+    step = Step.from_text("rule 231-312 @ 1")
+    assert step.params == (RewriteRule.from_text("231-312"), 1)
+    found = perm_leq(P("2314"), P("3124"), MoveSet.from_names("x:231-312"))
+    assert found.certificate.steps == (step,)
 
 
 def test_step_parsing_rejects_malformed_text():

@@ -116,7 +116,6 @@ def test_unlabeled_representative_is_isomorphic_to_the_input():
     g = LabeledGraph(5, ((1, 2), (2, 3), (3, 4), (2, 5)))
     u = UnlabeledGraph(g)
     assert brute_isomorphic(u.representative, g)
-    assert u.representative.edges == u.canonical_edges
 
 
 def test_permutation_graph_examples():
@@ -218,10 +217,10 @@ def test_recognition_respects_the_cap():
 
 def test_fork_graph_shape():
     star = fork_graph(1)
-    assert star.n == 5
+    assert star.representative.n == 5
     assert star.representative.degree_sequence == (4, 1, 1, 1, 1)
     two_path = fork_graph(2)
-    assert two_path.n == 6
+    assert two_path.representative.n == 6
     assert two_path.representative.degree_sequence == (3, 3, 1, 1, 1, 1)
     for k in range(1, 7):
         g = fork_graph(k).representative
