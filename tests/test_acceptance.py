@@ -18,10 +18,15 @@ _DETAILS = {
     "A1": "incomparable after 30096 states",
     "A2": "297 ordered pairs agree",
     "A3": "297 ordered pairs agree",
+    "A4": "38203 swaps over 5913 permutations all add inversions",
     "A5": "5536 cyclic permutations, 376411 successors checked",
     "A6": "401081 successors keep components together",
+    "A7": "forks 1..10 all recover their graphs; 1 and 2 match exactly",
+    "A8": "5913 round trips; 5-cycle and the P1/P2 failures behave",
     "A9": "certificate [rule 231-312 @ 4, insert 7 @ 6, insert 7 @ 6] verifies",
+    "A10": "4314 moves over 764 matchings all increase",
     "A11": "15017 ordered pairs contained; witness 132 to 312 is cover-only",
+    "A12": "12 command transcripts replayed byte-exactly",
 }
 
 
