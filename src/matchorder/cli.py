@@ -77,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=func)
         return cmd
 
-    def add_budget(cmd):
-        cmd.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-
     def search_command(name, func, help):
         cmd = command(name, func, help)
         cmd.add_argument("--kind", choices=("perm", "matching"), default="perm")
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="I,II",
             help="comma list: I, II, Ia, Ib, IIa, IIb, x:LHS-RHS (default I,II)",
         )
-        add_budget(cmd)
+        cmd.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
         return cmd
 
     compare = search_command("compare", _cmd_compare, "decide a <= b under a move set")
@@ -127,18 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path", nargs="?", default="-", help="JSON file, or - for stdin (default)"
     )
 
-    suite = command("suite", _cmd_suite, "run the exhaustive property suites")
-    suite.add_argument(
-        "--max-n",
-        type=int,
-        choices=range(1, 8),
-        default=7,
-        help="length cap for the exhaustive permutation scans, 1 to 7 "
-        "(default 7); the matching scan uses one more vertex than this",
-        metavar="N",
-    )
-    add_budget(suite)
-    suite.add_argument(
+    command("suite", _cmd_suite, "run the exhaustive property suites").add_argument(
         "--criteria",
         default=None,
         help="comma list of criterion names to run (default: all)",
@@ -262,7 +248,7 @@ def _cmd_suite(args):
         names = [name.strip() for name in args.criteria.split(",") if name.strip()]
         if not names:
             raise ValueError(f"--criteria {args.criteria!r} names no criterion")
-    results = suites.run_all(names=names, max_n=args.max_n, budget=args.budget)
+    results = suites.run_all(names=names)
     doc = {
         "results": [
             {

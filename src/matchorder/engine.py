@@ -240,6 +240,8 @@ def matching_leq(
         support = sorted(chain.from_iterable(key))
         return all(map(le, support, target_support[2 * (len(target) - len(key)) :]))
 
+    # _successors needs every vertex of a state at most cap; the support test
+    # in admit rejects any start whose largest vertex exceeds the target's
     if not admit(start):
         return SearchResult(False, None, 1)
     kinds = tuple(k for k in MoveKind if k in moves.kinds)

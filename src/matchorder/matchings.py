@@ -158,7 +158,9 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
     """Every single move from the matching whose order key is key, by kind.
 
     Yields ((kind, params), result key), each kind's results ascending in
-    the total order; cap bounds every vertex a move may touch.  Why:
+    the total order; cap bounds every vertex a move may touch.  Every vertex
+    of key must be at most cap: row marks a free vertex with cap + 1, so a
+    vertex matched to cap + 1 would read as free.  Why the order holds:
 
     - Ia adds (a, b) to a fixed edge set, so its results compare as (b, a)
       does: b runs upward, and the free vertices below b upward within it.

@@ -1,10 +1,10 @@
 """Exhaustive property suites at desk scale.
 
-Each criterion function sweeps a finite universe (all permutations up to a
-length cap, all matchings up to a vertex cap, or a fixed pair grid) and
-returns (passed, detail).  run_all wraps them with timing for the CLI and
-the acceptance tests.  The caps default to the sizes the checks are meant
-to hold at; --max-n trims them for quick smoke runs.
+Each criterion is a check with no arguments that sweeps a finite universe
+(all permutations up to a length, all matchings up to a vertex count, or a
+fixed pair grid) at the size its docstring states, and returns
+(passed, detail).  run_all wraps them with timing for the CLI and the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from time import perf_counter
 
 from ._search import bfs
 from .engine import (
-    DEFAULT_BUDGET,
     Certificate,
     MoveSet,
     Step,
@@ -76,28 +75,23 @@ def _fail_detail(violations: list, checked: str) -> tuple[bool, str]:
     return True, checked
 
 
+def _permutations(longest: int = 7):
+    """The letter tuples of S_1, S_2, ..., S_longest, shortest first."""
+    for n in range(1, longest + 1):
+        yield from itertools.permutations(range(1, n + 1))
+
+
 def _word_grid() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    sources = [
-        letters
-        for n in (1, 2, 3)
-        for letters in itertools.permutations(range(1, n + 1))
-    ]
-    targets = [
-        letters
-        for n in (1, 2, 3, 4)
-        for letters in itertools.permutations(range(1, n + 1))
-    ]
-    return sources, targets
+    return list(_permutations(3)), list(_permutations(4))
 
 
-def criterion_a1(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """The first fork pair is incomparable under the built-in moves."""
+def criterion_a1() -> tuple[bool, str]:
+    """The first fork pair, 412563 and 41263785, is incomparable under I,II."""
     moves = MoveSet.from_names("I,II")
     result = perm_leq(
         Permutation.from_text("412563"),
         Permutation.from_text("41263785"),
         moves,
-        budget,
     )
     if result.comparable is not False:
         return False, f"expected incomparable, got {result.comparable!r}"
@@ -106,8 +100,8 @@ def criterion_a1(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     return True, f"incomparable after {result.states_explored} states"
 
 
-def criterion_a2(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Matching-side and permutation-side deciders agree on the word grid."""
+def criterion_a2() -> tuple[bool, str]:
+    """Matching-side and permutation-side deciders agree on S_<=3 x S_<=4."""
     moves = MoveSet.from_names("I,II")
     sources, targets = _word_grid()
     violations = []
@@ -115,8 +109,8 @@ def criterion_a2(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
         pa, ma = Permutation(wa), word_to_matching(wa)
         for wb in targets:
             pb, mb = Permutation(wb), word_to_matching(wb)
-            perm_answer = perm_leq(pa, pb, moves, budget).comparable
-            matching_answer = matching_leq(ma, mb, moves, budget).comparable
+            perm_answer = perm_leq(pa, pb, moves).comparable
+            matching_answer = matching_leq(ma, mb, moves).comparable
             if perm_answer != matching_answer:
                 violations.append((pa.to_text(), pb.to_text(), perm_answer, matching_answer))
     return _fail_detail(
@@ -124,8 +118,8 @@ def criterion_a2(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     )
 
 
-def criterion_a3(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """With type I moves only, the matching decider is pattern containment."""
+def criterion_a3() -> tuple[bool, str]:
+    """With type I moves only, matching order is containment on S_<=3 x S_<=4."""
     moves = MoveSet.from_names("I")
     sources, targets = _word_grid()
     violations = []
@@ -133,7 +127,7 @@ def criterion_a3(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
         ma = word_to_matching(wa)
         for wb in targets:
             mb = word_to_matching(wb)
-            move_answer = matching_leq(ma, mb, moves, budget).comparable is True
+            move_answer = matching_leq(ma, mb, moves).comparable is True
             pattern_answer = contains_pattern(wa, wb)
             if move_answer != pattern_answer:
                 violations.append((wa, wb, move_answer, pattern_answer))
@@ -142,41 +136,39 @@ def criterion_a3(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     )
 
 
-def criterion_a4(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Every swap strictly increases the inversion count."""
+def criterion_a4() -> tuple[bool, str]:
+    """Every swap on S_1-S_7 strictly increases the inversion count."""
     violations = []
     permutations = swaps = 0
-    for n in range(1, max_n + 1):
-        for letters in itertools.permutations(range(1, n + 1)):
-            permutations += 1
-            before = len(_inversion_pairs(letters))
-            for params, result in _swap_successors(letters):
-                swaps += 1
-                if len(_inversion_pairs(result)) <= before:
-                    violations.append((letters, params))
+    for letters in _permutations():
+        permutations += 1
+        before = len(_inversion_pairs(letters))
+        for params, result in _swap_successors(letters):
+            swaps += 1
+            if len(_inversion_pairs(result)) <= before:
+                violations.append((letters, params))
     return _fail_detail(
         violations,
         f"{swaps} swaps over {permutations} permutations all add inversions",
     )
 
 
-def criterion_a5(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Cyclic inversion graphs stay cyclic under swaps and insertions."""
+def criterion_a5() -> tuple[bool, str]:
+    """Cyclic inversion graphs in S_1-S_7 stay cyclic under swaps and insertions."""
     violations = []
     cyclic = successors = 0
-    for n in range(1, max_n + 1):
-        for letters in itertools.permutations(range(1, n + 1)):
-            if not _is_cyclic(letters):
-                continue
-            cyclic += 1
-            for params, result in _swap_successors(letters):
-                successors += 1
-                if not _is_cyclic(result):
-                    violations.append((letters, "swap", params))
-            for params, result in _insertion_successors(letters):
-                successors += 1
-                if not _is_cyclic(result):
-                    violations.append((letters, "insert", params))
+    for letters in _permutations():
+        if not _is_cyclic(letters):
+            continue
+        cyclic += 1
+        for params, result in _swap_successors(letters):
+            successors += 1
+            if not _is_cyclic(result):
+                violations.append((letters, "swap", params))
+        for params, result in _insertion_successors(letters):
+            successors += 1
+            if not _is_cyclic(result):
+                violations.append((letters, "insert", params))
     return _fail_detail(
         violations, f"{cyclic} cyclic permutations, {successors} successors checked"
     )
@@ -193,8 +185,8 @@ def _block_spans(ids: list[int]) -> list[tuple[int, int]]:
     return spans
 
 
-def criterion_a6(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Connectivity survives every move; same-component swaps force a cycle.
+def criterion_a6() -> tuple[bool, str]:
+    """On S_1-S_7, components survive every move; same-component swaps force a cycle.
 
     Components are the prefix-maximum blocks, which are value intervals
     (see permgraphs._block_ids).  The result's components are intervals
@@ -203,30 +195,29 @@ def criterion_a6(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     """
     violations = []
     checked = 0
-    for n in range(1, max_n + 1):
-        for letters in itertools.permutations(range(1, n + 1)):
-            ids, _ = _block_ids(letters)
-            spans = _block_spans(ids)
-            for (i, j), result in _swap_successors(letters):
-                checked += 1
-                result_ids, _ = _block_ids(result)
-                if any(result_ids[low] != result_ids[high] for low, high in spans):
-                    violations.append((letters, "swap-split", (i, j)))
-                if ids[i] == ids[j] and not _is_cyclic(result):
-                    violations.append((letters, "same-component-acyclic", (i, j)))
-            for (value, _pos), result in _insertion_successors(letters):
-                checked += 1
-                result_ids, _ = _block_ids(result)
-                if any(
-                    result_ids[low + (low >= value)] != result_ids[high + (high >= value)]
-                    for low, high in spans
-                ):
-                    violations.append((letters, "insert-split", value))
+    for letters in _permutations():
+        ids, _ = _block_ids(letters)
+        spans = _block_spans(ids)
+        for (i, j), result in _swap_successors(letters):
+            checked += 1
+            result_ids, _ = _block_ids(result)
+            if any(result_ids[low] != result_ids[high] for low, high in spans):
+                violations.append((letters, "swap-split", (i, j)))
+            if ids[i] == ids[j] and not _is_cyclic(result):
+                violations.append((letters, "same-component-acyclic", (i, j)))
+        for (value, _pos), result in _insertion_successors(letters):
+            checked += 1
+            result_ids, _ = _block_ids(result)
+            if any(
+                result_ids[low + (low >= value)] != result_ids[high + (high >= value)]
+                for low, high in spans
+            ):
+                violations.append((letters, "insert-split", value))
     return _fail_detail(violations, f"{checked} successors keep components together")
 
 
-def criterion_a7(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """The fork permutations realize the fork graphs, exactly so for n = 1, 2."""
+def criterion_a7() -> tuple[bool, str]:
+    """Forks 1..10 realize the fork graphs; forks 1 and 2 are the stated words."""
     expected_small = {1: "412563", 2: "41263785"}
     for n in range(1, 11):
         perm = fork_permutation(n)
@@ -239,18 +230,15 @@ def criterion_a7(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     return True, "forks 1..10 all recover their graphs; 1 and 2 match exactly"
 
 
-def criterion_a8(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Graph recovery round-trips; the known non-examples are rejected."""
+def criterion_a8() -> tuple[bool, str]:
+    """Graph recovery round-trips on S_1-S_7; the known non-examples are rejected."""
     violations = []
     count = 0
-    for n in range(1, max_n + 1):
-        for perm in (
-            Permutation(letters)
-            for letters in itertools.permutations(range(1, n + 1))
-        ):
-            count += 1
-            if permutation_from_labeled(permutation_graph(perm)) != perm:
-                violations.append(perm.to_text())
+    for letters in _permutations():
+        perm = Permutation(letters)
+        count += 1
+        if permutation_from_labeled(permutation_graph(perm)) != perm:
+            violations.append(perm.to_text())
     five_cycle = LabeledGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
     if is_permutation_graph(five_cycle) is not None:
         violations.append("5-cycle recognized")
@@ -263,12 +251,12 @@ def criterion_a8(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     )
 
 
-def criterion_a9(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Adding the 231-312 rewrite makes the fork pair comparable."""
+def criterion_a9() -> tuple[bool, str]:
+    """Adding the 231-312 rewrite makes the first fork pair comparable."""
     moves = MoveSet.from_names("I,II,x:231-312")
     start = Permutation.from_text("412563")
     end = Permutation.from_text("41263785")
-    result = perm_leq(start, end, moves, budget)
+    result = perm_leq(start, end, moves)
     if result.comparable is not True:
         return False, f"expected comparable, got {result.comparable!r}"
     if not verify_certificate(result.certificate):
@@ -292,9 +280,9 @@ def criterion_a9(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, st
     return True, f"certificate [{steps}] verifies"
 
 
-def criterion_a10(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Every move strictly increases the total order on matchings."""
-    cap = max_n + 1
+def criterion_a10() -> tuple[bool, str]:
+    """Every move from a matching on vertices 1..8 strictly increases the order."""
+    cap = 8
     violations = []
     count = moves_seen = 0
     for m in all_matchings(cap):
@@ -305,21 +293,20 @@ def criterion_a10(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, s
                 moves_seen += 1
                 if not key < lex_key(result):
                     violations.append((m.to_text(), kind.value, params))
-    if cap == 8 and count != 764:
+    if count != 764:
         violations.append(f"expected 764 matchings, saw {count}")
     return _fail_detail(
         violations, f"{moves_seen} moves over {count} matchings all increase"
     )
 
 
-def criterion_a11(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Equal-length move order sits strictly inside the swap-cover order."""
-    cap = min(max_n, 5)
+def criterion_a11() -> tuple[bool, str]:
+    """On S_<=5, equal-length move order sits strictly inside swap-cover order."""
     moves = MoveSet.from_names("I,II")
     violations = []
     witness = None
     pairs = 0
-    for n in range(1, cap + 1):
+    for n in range(1, 6):
         universe = list(itertools.permutations(range(1, n + 1)))
         reach_moves = {t: frozenset(bfs(t, _swap_successors)[1]) for t in universe}
         reach_covers = {t: frozenset(bfs(t, _bruhat_successors)[1]) for t in universe}
@@ -337,7 +324,7 @@ def criterion_a11(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, s
                 pa = Permutation(ta)
                 for tb in universe:
                     pb = Permutation(tb)
-                    if (perm_leq(pa, pb, moves, budget).comparable is True) != (
+                    if (perm_leq(pa, pb, moves).comparable is True) != (
                         tb in reach_moves[ta]
                     ):
                         violations.append(("decider-mismatch", ta, tb))
@@ -388,8 +375,8 @@ _VERIFY_DOCUMENT = {
 }
 
 
-def criterion_a12(max_n: int = 7, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """The worked examples reproduce byte-exactly through the CLI."""
+def criterion_a12() -> tuple[bool, str]:
+    """The twelve worked examples reproduce byte-exactly through the CLI."""
     from . import cli
 
     violations = []
@@ -432,11 +419,7 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 )
 
 
-def run_all(
-    names: list[str] | None = None,
-    max_n: int = 7,
-    budget: int = DEFAULT_BUDGET,
-) -> list[SuiteResult]:
+def run_all(names: list[str] | None = None) -> list[SuiteResult]:
     """Run the named criteria (all by default) and time each one."""
     by_name = dict(CRITERIA)
     if names is None:
@@ -449,6 +432,6 @@ def run_all(
     results = []
     for name, check in chosen:
         started = perf_counter()
-        passed, detail = check(max_n=max_n, budget=budget)
+        passed, detail = check()
         results.append(SuiteResult(name, passed, perf_counter() - started, detail))
     return results

@@ -6,7 +6,7 @@ from time import perf_counter
 
 import pytest
 
-from matchorder import cli
+from matchorder import cli, suites
 from matchorder.permgraphs import LabeledGraph, from_dot
 
 
@@ -399,22 +399,20 @@ def test_suite_unknown_criterion(capsys):
         assert message in err and err.count("\n") == 1, criteria
 
 
-def test_suite_max_n_is_bounded_to_the_stated_sizes(capsys):
-    # each step past 7 multiplies the S_n scans by n, so 8 is refused
-    for value in ("0", "8", "100"):
-        code, out = run("suite", "--criteria", "A7", "--max-n", value)
+def test_suite_takes_no_size_or_budget(capsys):
+    # every criterion runs at the size its docstring states
+    for option, value in (("--max-n", "5"), ("--budget", "1")):
+        code, out = run("suite", "--criteria", "A7", option, value)
         err = capsys.readouterr().err
-        assert (code, out) == (1, ""), value
-        assert err.startswith("error: argument --max-n") and err.count("\n") == 1, value
-    code, out = run("suite", "--criteria", "A7", "--max-n", "1")
-    assert code == 0 and out.startswith("A7 pass")
+        assert (code, out) == (1, ""), option
+        assert err.startswith("error:") and err.count("\n") == 1, option
 
 
-def test_suite_reports_failure_with_exit_three():
-    # a one-state budget starves the searches the first criterion needs
-    code, out = run("suite", "--criteria", "A1", "--budget", "1")
+def test_suite_reports_failure_with_exit_three(monkeypatch):
+    monkeypatch.setattr(suites, "CRITERIA", (("A1", lambda: (False, "planted")),))
+    code, out = run("suite")
     assert code == 3
-    assert "A1 FAIL" in out
+    assert out.startswith("A1 FAIL (") and out.endswith("s): planted\n")
 
 
 def test_unknown_subcommand(capsys):
