@@ -7,9 +7,9 @@ construction: the matching search is capped at the target's largest vertex
 and admits only states that two quantities every move keeps non-decreasing
 (edge count and the sorted matched-vertex list) still allow, while the
 permutation search only ever visits lengths between the two inputs.
-Successors are generated in a fixed canonical order, so a query always
-returns the same certificate; ``Step`` objects are built only for the
-certificate's path.
+Successors come in a fixed canonical order, so a query always returns
+the same certificate.  The search keeps only parents, and ``Step``
+objects are built only for the path that ``_search.path`` regenerates.
 
 Termination therefore never depends on the order-theoretic facts the test
 suites check; those are verified, not trusted.  A state budget turns
@@ -219,44 +219,46 @@ class AntichainReport:
         return "antichain"
 
 
+def _decide(kind: str, a, b, start, target, successors, admit, budget) -> SearchResult:
+    """Search from start to target and certify a positive answer by its path."""
+    outcome, parents = bfs(start, successors, target, admit, budget)
+    certificate = None
+    if outcome is True:
+        steps = tuple(Step(*step) for step in path(parents, target, successors))
+        certificate = Certificate(kind, a, b, steps)
+    return SearchResult(outcome, certificate, len(parents))
+
+
 def matching_leq(
     a: Matching, b: Matching, moves: MoveSet, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
     """Decide whether moves can take a to b, with a certificate when so."""
     if moves.rules:
         raise ValueError("extended rewrite rules apply only to permutation queries")
-    if a == b:
-        return SearchResult(True, Certificate("matching", a, b, ()), 1)
     cap = b.max_vertex
     start, target = _order_key(a), _order_key(b)
     target_support = sorted(chain.from_iterable(target))
 
     def admit(key: tuple) -> bool:
-        # Moves never lower the edge count, nor the sorted matched-vertex list
-        # entrywise (new vertices join, slides raise one, rearrangements keep
-        # it): a state above the target in either, lists right-aligned, is dead.
-        if len(key) > len(target):
-            return False
+        # Moves never lower the edge count (only a start can exceed the
+        # target's; see full), nor the sorted matched-vertex list entrywise
+        # (new vertices join, slides raise one, rearrangements keep it): a
+        # state above the target's list, right-aligned, is dead.
         support = sorted(chain.from_iterable(key))
         return all(map(le, support, target_support[2 * (len(target) - len(key)) :]))
 
     # _successors needs every vertex of a state at most cap; the support test
     # in admit rejects any start whose largest vertex exceeds the target's
-    if not admit(start):
+    if len(start) > len(target) or not admit(start):
         return SearchResult(False, None, 1)
     kinds = tuple(k for k in MoveKind if k in moves.kinds)
-    # Ia adds an edge, which admit rejects once a state has the target's count
+    # Ia adds an edge, so states with the target's edge count leave it out
     full = tuple(k for k in kinds if k is not MoveKind.TYPE_IA)
 
     def successors(key: tuple):
         return _successors(key, kinds if len(key) < len(target) else full, cap)
 
-    outcome, parents = bfs(start, successors, target, admit, budget)
-    certificate = None
-    if outcome is True:
-        steps = tuple(Step(kind.value, p) for kind, p in path(parents, target))
-        certificate = Certificate("matching", a, b, steps)
-    return SearchResult(outcome, certificate, len(parents))
+    return _decide("matching", a, b, start, target, successors, admit, budget)
 
 
 def perm_leq(
@@ -269,8 +271,6 @@ def perm_leq(
     TYPE_IB together), and any extended rewrite rules.
     """
     start, target = a.letters, b.letters
-    if start == target:
-        return SearchResult(True, Certificate("perm", a, b, ()), 1)
     if len(start) > len(target):
         return SearchResult(False, None, 1)
     allow_swaps = MoveKind.TYPE_IIA in moves.kinds
@@ -291,12 +291,7 @@ def perm_leq(
             for params, nxt in _rewrite_successors(current, moves.rules):
                 yield ("rule", params), nxt
 
-    outcome, parents = bfs(start, successors, target, budget=budget)
-    certificate = None
-    if outcome is True:
-        steps = tuple(Step(kind, params) for kind, params in path(parents, target))
-        certificate = Certificate("perm", a, b, steps)
-    return SearchResult(outcome, certificate, len(parents))
+    return _decide("perm", a, b, start, target, successors, None, budget)
 
 
 _MATCHING_STEP_KINDS = {k.value: k for k in MoveKind}

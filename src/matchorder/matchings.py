@@ -157,10 +157,11 @@ _IA, _IB, _IIB = MoveKind.TYPE_IA, MoveKind.TYPE_IB, MoveKind.TYPE_IIB
 def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
     """Every single move from the matching whose order key is key, by kind.
 
-    Yields ((kind, params), result key), each kind's results ascending in
-    the total order; cap bounds every vertex a move may touch.  Every vertex
-    of key must be at most cap: row marks a free vertex with cap + 1, so a
-    vertex matched to cap + 1 would read as free.  Why the order holds:
+    Yields ((kind name, params), result key), the name spelled as a
+    certificate step spells it ("Ia", ...), each kind's results ascending
+    in the total order; cap bounds every vertex a move may touch.  Every
+    vertex of key must be at most cap: row marks a free vertex with cap + 1,
+    so a vertex matched to cap + 1 would read as free.  Why the order holds:
 
     - Ia adds (a, b) to a fixed edge set, so its results compare as (b, a)
       does: b runs upward, and the free vertices below b upward within it.
@@ -181,6 +182,7 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
         row[j] = i
     type_two = None
     for kind in kinds:
+        name = kind.value
         if kind is _IA:
             free: list[int] = []
             split = len(key)
@@ -192,7 +194,7 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
                     split -= 1
                 head, tail = key[:split], key[split:]
                 for a in free:
-                    yield (kind, (a, b)), head + ((b, a),) + tail
+                    yield (name, (a, b)), head + ((b, a),) + tail
                 free.append(b)
         elif kind is _IB:
             for k in range(len(key) - 1, -1, -1):
@@ -200,9 +202,9 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
                 head, tail = key[:k], key[k + 1 :]
                 # i + 1 <= j, and i + 1 == j is matched, so i + 1 needs no cap test
                 if row[i + 1] == free_mark:
-                    yield (kind, (i, j, i + 1, j)), head + ((j, i + 1),) + tail
+                    yield (name, (i, j, i + 1, j)), head + ((j, i + 1),) + tail
                 if j + 1 <= cap and row[j + 1] == free_mark:
-                    yield (kind, (i, j, i, j + 1)), head + ((j + 1, i),) + tail
+                    yield (name, (i, j, i, j + 1)), head + ((j + 1, i),) + tail
         else:
             if type_two is None:
                 type_two = nested, crossing = [], []  # IIa's, then IIb's
@@ -221,7 +223,7 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
                 nested.sort()
                 crossing.sort()
             for result, params in type_two[kind is _IIB]:
-                yield (kind, params), result
+                yield (name, params), result
 
 
 def moves_with_params(

@@ -263,8 +263,6 @@ def bruhat_closure_leq(a: Permutation, b: Permutation) -> bool:
     """
     if len(a) != len(b):
         raise ValueError("comparison needs equal lengths")
-    if a == b:
-        return True
     return bfs(a.letters, _bruhat_successors, b.letters)[0]
 
 

@@ -1,11 +1,14 @@
 """Reachability deciders, certificates, and the antichain checker."""
 
 import itertools
+import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
+from matchorder import engine
 from matchorder.engine import (
     BUDGET,
     Certificate,
@@ -32,6 +35,7 @@ from matchorder.permutations import (
     _swap_successors,
     contains_pattern,
 )
+from matchorder.suites import _word_grid
 from test_matchings import legal_moves
 
 I_AND_II = MoveSet.from_names("I,II")
@@ -331,6 +335,93 @@ def test_search_parity(decide, a, b, names, budget, comparable, states, certific
     else:
         assert [s.to_text() for s in result.certificate.steps] == certificate
         assert verify_certificate(result.certificate)
+
+
+def _stored_step_bfs(start, successors, target=None, admit=None, budget=None):
+    """The search as it was when every visited entry kept its step, with the
+    deciders' old a == b answer: the reference for the parent-only search."""
+    if start == target:
+        return True, {start: None}
+    parents = {start: None}
+    queue = deque((start,))
+    limit = float("inf") if budget is None else budget
+    while queue:
+        current = queue.popleft()
+        for step, nxt in successors(current):
+            if nxt in parents or (admit is not None and not admit(nxt)):
+                continue
+            parents[nxt] = (current, step)
+            if nxt == target:
+                return True, parents
+            if len(parents) > limit:
+                return BUDGET, parents
+            queue.append(nxt)
+    return False, parents
+
+
+def _stored_path(parents, end, successors):
+    steps = []
+    while parents[end] is not None:
+        end, step = parents[end]
+        steps.append(step)
+    return steps[::-1]
+
+
+_A2_WORDS = list(itertools.product(*_word_grid()))
+_A2_PERMS = [(Permutation(a), Permutation(b)) for a, b in _A2_WORDS]
+_A2_MATCHINGS = [(word_to_matching(a), word_to_matching(b)) for a, b in _A2_WORDS]
+_SMALL_MATCHINGS = list(itertools.product(all_matchings(4), repeat=2))
+_rng = random.Random(5)
+_PERMS_5_TO_7 = [
+    (Permutation(tuple(_rng.sample(range(1, 6), 5))),
+     Permutation(tuple(_rng.sample(range(1, 8), 7))))
+    for _ in range(20)
+]
+
+
+@pytest.mark.parametrize(
+    "decide, pairs, names",
+    [
+        (perm_leq, _A2_PERMS, "I,II"),
+        (perm_leq, _A2_PERMS, "I"),
+        (perm_leq, _A2_PERMS, "I,II,x:231-312"),
+        (matching_leq, _A2_MATCHINGS, "I,II"),
+        (matching_leq, _A2_MATCHINGS, "I"),
+        (matching_leq, _SMALL_MATCHINGS, "I,II"),
+        (matching_leq, _SMALL_MATCHINGS, "Ib,IIb"),
+        (perm_leq, _PERMS_5_TO_7, "I,II"),
+    ],
+    ids=["a2-perm", "a2-perm-I", "a2-perm-rule", "a2-matching", "a2-matching-I",
+         "matchings-4", "matchings-4-Ib-IIb", "perms-5-7"],
+)
+def test_path_walk_rebuilds_the_stored_steps(monkeypatch, decide, pairs, names):
+    moves = MoveSet.from_names(names)
+
+    def answers():
+        return [
+            (r.comparable, r.states_explored,
+             None if r.certificate is None else [s.to_text() for s in r.certificate.steps])
+            for r in (decide(a, b, moves) for a, b in pairs)
+        ]
+
+    walked = answers()
+    monkeypatch.setattr(engine, "bfs", _stored_step_bfs)
+    monkeypatch.setattr(engine, "path", _stored_path)
+    assert answers() == walked
+    assert any(certificate for _, _, certificate in walked)
+
+
+def test_search_stores_no_steps():
+    # the visited map holds a parent per state; with (parent, step) entries
+    # it held 323 bytes per state on this query
+    tracemalloc.start()
+    try:
+        result = perm_leq(P("412563"), P("41263785"), I_AND_II)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.states_explored == 30096
+    assert peak / result.states_explored <= 240
 
 
 @given(perms, perms)
