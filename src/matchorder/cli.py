@@ -223,7 +223,7 @@ def _cmd_verify(args):
             raise ValueError(f"cannot read {args.path}: {reason}") from None
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad JSON document: {exc}") from None
     verdict = verify_certificate(certificate_from_document(doc))
     if verdict.ok:

@@ -2,10 +2,13 @@
 
 Both deciders hand a per-query successor function over bare tuples (letter
 tuples, matching order keys) to the shared breadth-first search in
-``_search``; no state outlives a query.  The universe is finite by
-construction: the matching search is capped at the target's largest vertex
-and admits only states that two quantities every move keeps non-decreasing
-(edge count and the sorted matched-vertex list) still allow, while the
+``_search``; no state outlives a query.  Every move generator yields
+``((kind, params), result)``, kind being the certificate's step name, so
+the successor functions only choose generators and pass their items on.
+The universe is finite by construction: the matching search is capped at
+the target's largest vertex, never adds an edge to a state with the
+target's edge count, and admits only states whose sorted matched-vertex
+list, which no move lowers entrywise, still fits under the target's; the
 permutation search only ever visits lengths between the two inputs.
 Successors come in a fixed canonical order, so a query always returns
 the same certificate.  The search keeps only parents, and ``Step``
@@ -251,9 +254,9 @@ def matching_leq(
     # in admit rejects any start whose largest vertex exceeds the target's
     if len(start) > len(target) or not admit(start):
         return SearchResult(False, None, 1)
-    kinds = tuple(k for k in MoveKind if k in moves.kinds)
+    kinds = tuple(k.value for k in MoveKind if k in moves.kinds)
     # Ia adds an edge, so states with the target's edge count leave it out
-    full = tuple(k for k in kinds if k is not MoveKind.TYPE_IA)
+    full = tuple(k for k in kinds if k != "Ia")
 
     def successors(key: tuple):
         return _successors(key, kinds if len(key) < len(target) else full, cap)
@@ -282,14 +285,11 @@ def perm_leq(
 
     def successors(current: tuple[int, ...]):
         if allow_swaps:
-            for params, nxt in _swap_successors(current):
-                yield ("swap", params), nxt
+            yield from _swap_successors(current)
         if allow_insertions and len(current) < target_len:
-            for params, nxt in _insertion_successors(current):
-                yield ("insert", params), nxt
+            yield from _insertion_successors(current)
         if moves.rules:
-            for params, nxt in _rewrite_successors(current, moves.rules):
-                yield ("rule", params), nxt
+            yield from _rewrite_successors(current, moves.rules)
 
     return _decide("perm", a, b, start, target, successors, None, budget)
 

@@ -150,18 +150,15 @@ def _interval_clear(m: Matching, lo: int, hi: int, bound: int) -> bool:
     return all(w > bound for v, w in m.partner_map.items() if lo < v < hi)
 
 
-# plain globals for the hot loops below: enum member lookups and hashes are slow
-_IA, _IB, _IIB = MoveKind.TYPE_IA, MoveKind.TYPE_IB, MoveKind.TYPE_IIB
-
-
-def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
+def _successors(key: tuple, kinds: Sequence[str], cap: int) -> Iterator:
     """Every single move from the matching whose order key is key, by kind.
 
-    Yields ((kind name, params), result key), the name spelled as a
-    certificate step spells it ("Ia", ...), each kind's results ascending
-    in the total order; cap bounds every vertex a move may touch.  Every
-    vertex of key must be at most cap: row marks a free vertex with cap + 1,
-    so a vertex matched to cap + 1 would read as free.  Why the order holds:
+    kinds are kind names, spelled as a certificate step spells them ("Ia",
+    "Ib", "IIa", "IIb").  Yields ((kind, params), result key), each kind's
+    results ascending in the total order; cap bounds every vertex a move
+    may touch.  Every vertex of key must be at most cap: row marks a free
+    vertex with cap + 1, so a vertex matched to cap + 1 would read as free.
+    Why the order holds:
 
     - Ia adds (a, b) to a fixed edge set, so its results compare as (b, a)
       does: b runs upward, and the free vertices below b upward within it.
@@ -182,8 +179,7 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
         row[j] = i
     type_two = None
     for kind in kinds:
-        name = kind.value
-        if kind is _IA:
+        if kind == "Ia":
             free: list[int] = []
             split = len(key)
             for b in range(1, cap + 1):
@@ -194,17 +190,17 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
                     split -= 1
                 head, tail = key[:split], key[split:]
                 for a in free:
-                    yield (name, (a, b)), head + ((b, a),) + tail
+                    yield (kind, (a, b)), head + ((b, a),) + tail
                 free.append(b)
-        elif kind is _IB:
+        elif kind == "Ib":
             for k in range(len(key) - 1, -1, -1):
                 j, i = key[k]
                 head, tail = key[:k], key[k + 1 :]
                 # i + 1 <= j, and i + 1 == j is matched, so i + 1 needs no cap test
                 if row[i + 1] == free_mark:
-                    yield (name, (i, j, i + 1, j)), head + ((j, i + 1),) + tail
+                    yield (kind, (i, j, i + 1, j)), head + ((j, i + 1),) + tail
                 if j + 1 <= cap and row[j + 1] == free_mark:
-                    yield (name, (i, j, i, j + 1)), head + ((j + 1, i),) + tail
+                    yield (kind, (i, j, i, j + 1)), head + ((j + 1, i),) + tail
         else:
             if type_two is None:
                 type_two = nested, crossing = [], []  # IIa's, then IIb's
@@ -222,8 +218,8 @@ def _successors(key: tuple, kinds: Sequence[MoveKind], cap: int) -> Iterator:
                             crossing.append((result, (q, p, c, d)))
                 nested.sort()
                 crossing.sort()
-            for result, params in type_two[kind is _IIB]:
-                yield (name, params), result
+            for result, params in type_two[kind == "IIb"]:
+                yield (kind, params), result
 
 
 def moves_with_params(
@@ -243,7 +239,7 @@ def moves_with_params(
         )
     return tuple(
         (params, Matching(tuple((i, j) for j, i in result)))
-        for (_, params), result in _successors(_order_key(m), (kind,), vertex_cap)
+        for (_, params), result in _successors(_order_key(m), (kind.value,), vertex_cap)
     )
 
 

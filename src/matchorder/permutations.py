@@ -5,9 +5,12 @@ A permutation of [n] is a tuple holding 1..n in some order, wrapped in
 two forms.  The private generators ``_swap_successors``,
 ``_insertion_successors`` and ``_rewrite_successors`` work on bare letter
 tuples, for speed, and return every move from a state as
-``(params, result)`` pairs in a fixed canonical order: the ``(step,
-next)`` shape the shared breadth-first search in ``_search`` consumes, so
-``bruhat_closure_leq`` passes ``_bruhat_successors`` to it as is.  The
+``((kind, params), result)`` pairs in a fixed canonical order, kind being
+the step name a certificate prints (``"swap"``, ``"insert"``,
+``"rule"``): the ``(step, next)`` shape the shared breadth-first search in
+``_search`` consumes and ``engine.Step(*step)`` builds.  A Bruhat cover is
+no certificate move, so ``_bruhat_successors`` yields bare ``(params,
+result)`` pairs, whose step ``bruhat_closure_leq``'s search ignores.  The
 public ``apply_*`` functions apply one move with given parameters, as
 certificate replay needs; they re-check its legality themselves and never
 consult the generators, so each form can be tested against the other.
@@ -146,8 +149,8 @@ def contains_pattern(small: Iterable[int], big: Iterable[int]) -> bool:
 
 def _insertion_successors(
     letters: tuple[int, ...]
-) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-    """All single-letter insertions as ((value, position), result) pairs.
+) -> list[tuple[tuple[str, tuple[int, int]], tuple[int, ...]]]:
+    """All single-letter insertions as (("insert", (value, position)), result).
 
     Position is 1-based.  Existing letters >= value are shifted up by one.
     Ordered value-major, then by position.
@@ -157,7 +160,8 @@ def _insertion_successors(
     for v in range(1, n + 2):
         shifted = tuple(x + 1 if x >= v else x for x in letters)
         for pos in range(1, n + 2):
-            out.append(((v, pos), shifted[: pos - 1] + (v,) + shifted[pos - 1 :]))
+            result = shifted[: pos - 1] + (v,) + shifted[pos - 1 :]
+            out.append((("insert", (v, pos)), result))
     return out
 
 
@@ -174,8 +178,8 @@ def apply_insertion(p: Permutation, value: int, position: int) -> Permutation:
 
 def _swap_successors(
     letters: tuple[int, ...]
-) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-    """All legal value swaps as ((i, j), result) pairs, ordered by (i, j).
+) -> list[tuple[tuple[str, tuple[int, int]], tuple[int, ...]]]:
+    """All legal value swaps as (("swap", (i, j)), result), ordered by (i, j).
 
     Values i < j may swap when i sits before j and every value strictly
     between them sits before j's position.  For fixed i, reach is the
@@ -195,7 +199,7 @@ def _swap_successors(
                 reach = pj
                 swapped = list(letters)
                 swapped[pi], swapped[pj] = j, i
-                out.append(((i, j), tuple(swapped)))
+                out.append((("swap", (i, j)), tuple(swapped)))
     return out
 
 
@@ -268,8 +272,8 @@ def bruhat_closure_leq(a: Permutation, b: Permutation) -> bool:
 
 def _rewrite_successors(
     letters: tuple[int, ...], rules: Sequence[RewriteRule]
-) -> list[tuple[tuple[RewriteRule, int], tuple[int, ...]]]:
-    """All rule applications as ((rule, start), result), start 1-based.
+) -> list[tuple[tuple[str, tuple[RewriteRule, int]], tuple[int, ...]]]:
+    """All rule applications as (("rule", (rule, start)), result), start 1-based.
 
     A rule fires on every window of len(lhs) consecutive positions whose
     letters reduce to lhs; the window's letters are rearranged so they
@@ -284,12 +288,8 @@ def _rewrite_successors(
             if _ranks(window) == lhs:
                 ordered = sorted(window)
                 replacement = tuple(ordered[r - 1] for r in rhs)
-                out.append(
-                    (
-                        (rule, start + 1),
-                        letters[:start] + replacement + letters[start + width :],
-                    )
-                )
+                result = letters[:start] + replacement + letters[start + width :]
+                out.append((("rule", (rule, start + 1)), result))
     return out
 
 

@@ -143,7 +143,7 @@ def criterion_a4() -> tuple[bool, str]:
     for letters in _permutations():
         permutations += 1
         before = len(_inversion_pairs(letters))
-        for params, result in _swap_successors(letters):
+        for (_, params), result in _swap_successors(letters):
             swaps += 1
             if len(_inversion_pairs(result)) <= before:
                 violations.append((letters, params))
@@ -161,14 +161,11 @@ def criterion_a5() -> tuple[bool, str]:
         if not _is_cyclic(letters):
             continue
         cyclic += 1
-        for params, result in _swap_successors(letters):
+        swaps, insertions = _swap_successors(letters), _insertion_successors(letters)
+        for (kind, params), result in itertools.chain(swaps, insertions):
             successors += 1
             if not _is_cyclic(result):
-                violations.append((letters, "swap", params))
-        for params, result in _insertion_successors(letters):
-            successors += 1
-            if not _is_cyclic(result):
-                violations.append((letters, "insert", params))
+                violations.append((letters, kind, params))
     return _fail_detail(
         violations, f"{cyclic} cyclic permutations, {successors} successors checked"
     )
@@ -198,14 +195,14 @@ def criterion_a6() -> tuple[bool, str]:
     for letters in _permutations():
         ids, _ = _block_ids(letters)
         spans = _block_spans(ids)
-        for (i, j), result in _swap_successors(letters):
+        for (_, (i, j)), result in _swap_successors(letters):
             checked += 1
             result_ids, _ = _block_ids(result)
             if any(result_ids[low] != result_ids[high] for low, high in spans):
                 violations.append((letters, "swap-split", (i, j)))
             if ids[i] == ids[j] and not _is_cyclic(result):
                 violations.append((letters, "same-component-acyclic", (i, j)))
-        for (value, _pos), result in _insertion_successors(letters):
+        for (_, (value, _pos)), result in _insertion_successors(letters):
             checked += 1
             result_ids, _ = _block_ids(result)
             if any(

@@ -306,10 +306,13 @@ def test_verify_time_follows_the_edges_not_the_labels(monkeypatch):
 
 
 def test_verify_rejects_malformed_json(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
-    code, _ = run("verify")
-    assert code == 1
-    assert "bad JSON" in capsys.readouterr().err
+    # nesting past the recursion limit makes json.loads raise RecursionError
+    for raw in ("{not json", "[" * 100000):
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        assert run("verify") == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad JSON document: ")
+        assert err.count("\n") == 1
 
 
 def test_verify_needs_a_certificate(monkeypatch, capsys):

@@ -101,6 +101,8 @@ def test_step_text_round_trips():
         "rule 231-312 @ 4",
     ):
         assert Step.from_text(text).to_text() == text
+    with pytest.raises(ValueError, match="unknown step kind"):
+        Step("frob", ()).to_text()
     # a rule step keeps the parsed rule, the same step the search records
     step = Step.from_text("rule 231-312 @ 1")
     assert step.params == (RewriteRule.from_text("231-312"), 1)
@@ -461,11 +463,16 @@ def test_verify_reports_the_failing_step():
 
 
 def test_verify_rejects_steps_of_the_wrong_kind():
-    cert = Certificate("matching", M("1-2"), M("1-3"), (Step("swap", (1, 2)),))
-    verdict = verify_certificate(cert)
-    assert not verdict
-    assert verdict.failed_step == 0
-    assert "not a matching move" in verdict.reason
+    for cert, reason in (
+        (Certificate("matching", M("1-2"), M("1-3"), (Step("swap", (1, 2)),)),
+         "not a matching move"),
+        (Certificate("perm", P("12"), P("21"), (Step("Ia", (1, 2)),)),
+         "not a permutation move"),
+    ):
+        verdict = verify_certificate(cert)
+        assert not verdict
+        assert verdict.failed_step == 0
+        assert reason in verdict.reason
 
 
 def test_antichain_on_the_fork_pair():

@@ -209,6 +209,9 @@ def test_crossing_rearrangement_interval_condition():
 def test_moves_reject_a_cap_below_the_matching():
     with pytest.raises(ValueError, match="vertex_cap"):
         moves_with_params(Matching.from_text("1-5"), MoveKind.TYPE_IA, 4)
+    # the generator behind it takes bare kind names; the public form does not
+    with pytest.raises(ValueError, match="unknown move kind"):
+        moves_with_params(Matching.from_text("1-5"), "Ia", 6)
 
 
 def test_moves_are_sorted_and_deterministic():
@@ -234,6 +237,10 @@ def test_apply_move_rejects_illegal_moves():
     m = Matching.from_text("1-4 2-3")
     with pytest.raises(ValueError, match="unmatched"):
         apply_move(m, MoveKind.TYPE_IA, (1, 5))
+    with pytest.raises(ValueError, match="must satisfy"):
+        apply_move(m, MoveKind.TYPE_IA, (6, 5))
+    with pytest.raises(ValueError, match="not increasing"):
+        apply_move(m, MoveKind.TYPE_IIA, (1, 3, 2, 4))
     with pytest.raises(ValueError, match="not present"):
         apply_move(m, MoveKind.TYPE_IB, (1, 5, 1, 6))
     with pytest.raises(ValueError, match="slide"):

@@ -36,12 +36,12 @@ def inversions(p):
     return set(permutation_graph(p).edges)
 
 
-def legal_moves(apply, p, candidates):
-    """(params, letters) for every candidate on which the validator succeeds."""
+def legal_moves(apply, kind, p, candidates):
+    """((kind, params), letters) for every candidate the validator accepts."""
     out = []
     for params in candidates:
         try:
-            out.append((params, apply(p, *params).letters))
+            out.append(((kind, params), apply(p, *params).letters))
         except ValueError:
             pass
     return out
@@ -136,7 +136,7 @@ def test_insertion_successors_are_exactly_the_legal_insertions():
     for n in range(1, 7):
         candidates = list(itertools.product(range(n + 3), repeat=2))
         for p in permutations_of(n):
-            expected = legal_moves(apply_insertion, p, candidates)
+            expected = legal_moves(apply_insertion, "insert", p, candidates)
             assert _insertion_successors(p.letters) == expected
 
 
@@ -175,7 +175,8 @@ def test_swap_successors_are_exactly_the_legal_swaps():
     for n in range(1, 7):
         candidates = list(itertools.product(range(n + 2), repeat=2))
         for p in permutations_of(n):
-            assert _swap_successors(p.letters) == legal_moves(apply_swap, p, candidates)
+            expected = legal_moves(apply_swap, "swap", p, candidates)
+            assert _swap_successors(p.letters) == expected
 
 
 def test_inversions():
@@ -309,7 +310,7 @@ def test_rewrite_successors_are_exactly_the_legal_rewrites():
                 move
                 for rule in rules
                 for move in legal_moves(
-                    apply_rewrite, p, [(rule, start) for start in range(n + 2)]
+                    apply_rewrite, "rule", p, [(rule, start) for start in range(n + 2)]
                 )
             ]
             assert _rewrite_successors(p.letters, rules) == expected
