@@ -207,6 +207,40 @@ def test_recognition():
     assert is_permutation_graph(cycle(5)) is None
 
 
+def graph_classes(n):
+    """One graph per isomorphism class on n vertices, each with its orbit
+    under relabeling.  A graph starts a new class exactly when no earlier
+    orbit holds it, so no canonical form is involved."""
+    relabelings = list(itertools.permutations(range(1, n + 1)))
+    seen = set()
+    for g in all_graphs(n):
+        if g.edges in seen:
+            continue
+        orbit = [
+            LabeledGraph(n, tuple((image[i - 1], image[j - 1]) for i, j in g.edges))
+            for image in relabelings
+        ]
+        seen.update(h.edges for h in orbit)
+        yield g, orbit
+
+
+def test_recognition_agrees_with_a_brute_force_reference_on_one_to_six_vertices():
+    # reference: some labeling passes both halves of the Koh and Ree check
+    counts = []
+    for n in range(1, 7):
+        classes = recognized = 0
+        for g, orbit in graph_classes(n):
+            classes += 1
+            expected = any(koh_ree_check(h) == (True, True) for h in orbit)
+            witness = is_permutation_graph(g)
+            assert (witness is not None) == expected, g
+            if witness is not None:
+                recognized += 1
+                assert brute_isomorphic(permutation_graph(witness), g), g
+        counts.append((classes, recognized))
+    assert counts == [(1, 1), (2, 2), (4, 4), (11, 11), (34, 33), (156, 142)]
+
+
 def test_recognition_respects_the_cap():
     with pytest.raises(ValueError, match="capped"):
         is_permutation_graph(LabeledGraph(9))
