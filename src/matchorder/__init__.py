@@ -15,8 +15,8 @@ from .engine import (
     verify_certificate,
 )
 from .matchings import (
+    MOVE_KINDS,
     Matching,
-    MoveKind,
     decompose_intertwined,
     is_intertwined,
     matching_to_word,
@@ -24,7 +24,7 @@ from .matchings import (
 )
 from .permgraphs import (
     LabeledGraph,
-    UnlabeledGraph,
+    canonical_form,
     fork_graph,
     fork_permutation,
     is_permutation_graph,
@@ -44,17 +44,17 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Certificate",
     "LabeledGraph",
+    "MOVE_KINDS",
     "Matching",
-    "MoveKind",
     "MoveSet",
     "Permutation",
     "RewriteRule",
     "SearchResult",
     "Step",
-    "UnlabeledGraph",
     "VerificationResult",
     "antichain_check",
     "bruhat_closure_leq",
+    "canonical_form",
     "contains_pattern",
     "decompose_intertwined",
     "fork_graph",

@@ -30,8 +30,8 @@ from typing import Sequence
 
 from ._search import BUDGET, bfs, path
 from .matchings import (
+    MOVE_KINDS,
     Matching,
-    MoveKind,
     _order_key,
     _parse_edge,
     _successors,
@@ -72,18 +72,21 @@ DEFAULT_BUDGET = 10**7
 class MoveSet:
     """Which single-step moves a reachability query may use.
 
-    kinds drive the matching-side search directly.  On the permutation
-    side, single-letter insertions are available when both TYPE_IA and
-    TYPE_IB are enabled, and swaps when TYPE_IIA is.  Extended rewrite
-    rules act on permutations only.
+    kinds are names from MOVE_KINDS and drive the matching-side search
+    directly.  On the permutation side, single-letter insertions are
+    available when both Ia and Ib are enabled, and swaps when IIa is.
+    Extended rewrite rules act on permutations only.
     """
 
-    kinds: frozenset[MoveKind] = frozenset()
+    kinds: frozenset[str] = frozenset()
     rules: tuple[RewriteRule, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", frozenset(self.kinds))
         object.__setattr__(self, "rules", tuple(self.rules))
+        unknown = sorted(map(repr, self.kinds.difference(MOVE_KINDS)))
+        if unknown:
+            raise ValueError(f"unknown move kind {', '.join(unknown)}")
         if not self.kinds and not self.rules:
             raise ValueError("move set enables nothing")
 
@@ -95,16 +98,16 @@ class MoveSet:
         "Ib", "IIa", "IIb" enable single kinds; "x:231-312" registers an
         extended rewrite rule.
         """
-        kinds: set[MoveKind] = set()
+        kinds: set[str] = set()
         rules: list[RewriteRule] = []
         for raw in text.split(","):
             name = raw.strip()
             if name == "I":
-                kinds.update((MoveKind.TYPE_IA, MoveKind.TYPE_IB))
+                kinds.update(("Ia", "Ib"))
             elif name == "II":
-                kinds.update((MoveKind.TYPE_IIA, MoveKind.TYPE_IIB))
-            elif name in ("Ia", "Ib", "IIa", "IIb"):
-                kinds.add(MoveKind(name))
+                kinds.update(("IIa", "IIb"))
+            elif name in MOVE_KINDS:
+                kinds.add(name)
             elif name.startswith("x:"):
                 rules.append(RewriteRule.from_text(name[2:]))
             else:
@@ -254,7 +257,7 @@ def matching_leq(
     # in admit rejects any start whose largest vertex exceeds the target's
     if len(start) > len(target) or not admit(start):
         return SearchResult(False, None, 1)
-    kinds = tuple(k.value for k in MoveKind if k in moves.kinds)
+    kinds = tuple(k for k in MOVE_KINDS if k in moves.kinds)
     # Ia adds an edge, so states with the target's edge count leave it out
     full = tuple(k for k in kinds if k != "Ia")
 
@@ -269,15 +272,15 @@ def perm_leq(
 ) -> SearchResult:
     """Decide whether moves can take a to b on the permutation side.
 
-    Transitions are value swaps (enabled by TYPE_IIA), single-letter
-    insertions while shorter than the target (enabled by TYPE_IA and
-    TYPE_IB together), and any extended rewrite rules.
+    Transitions are value swaps (enabled by IIa), single-letter insertions
+    while shorter than the target (enabled by Ia and Ib together), and any
+    extended rewrite rules.
     """
     start, target = a.letters, b.letters
     if len(start) > len(target):
         return SearchResult(False, None, 1)
-    allow_swaps = MoveKind.TYPE_IIA in moves.kinds
-    allow_insertions = {MoveKind.TYPE_IA, MoveKind.TYPE_IB} <= moves.kinds
+    allow_swaps = "IIa" in moves.kinds
+    allow_insertions = {"Ia", "Ib"} <= moves.kinds
     if len(start) < len(target) and not allow_insertions:
         # nothing grows the length except insertions
         return SearchResult(False, None, 1)
@@ -294,16 +297,14 @@ def perm_leq(
     return _decide("perm", a, b, start, target, successors, None, budget)
 
 
-_MATCHING_STEP_KINDS = {k.value: k for k in MoveKind}
 _PERM_STEP_APPLY = {"swap": apply_swap, "insert": apply_insertion, "rule": apply_rewrite}
 
 
 def _apply_step(kind: str, state, step: Step):
     if kind == "matching":
-        move_kind = _MATCHING_STEP_KINDS.get(step.kind)
-        if move_kind is None:
+        if step.kind not in MOVE_KINDS:
             raise ValueError(f"step kind {step.kind!r} is not a matching move")
-        return apply_move(state, move_kind, step.params)
+        return apply_move(state, step.kind, step.params)
     apply = _PERM_STEP_APPLY.get(step.kind)
     if apply is None:
         raise ValueError(f"step kind {step.kind!r} is not a permutation move")

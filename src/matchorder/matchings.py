@@ -17,7 +17,6 @@ intertwined pieces live here too.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -25,8 +24,8 @@ from typing import Iterable, Iterator, Sequence
 from .permutations import Permutation
 
 __all__ = [
+    "MOVE_KINDS",
     "Matching",
-    "MoveKind",
     "lex_key",
     "is_intertwined",
     "moves_with_params",
@@ -38,13 +37,8 @@ __all__ = [
 ]
 
 
-class MoveKind(enum.Enum):
-    """The four built-in move kinds, named by their short display form."""
-
-    TYPE_IA = "Ia"
-    TYPE_IB = "Ib"
-    TYPE_IIA = "IIa"
-    TYPE_IIB = "IIb"
+# The four move kinds, named as a certificate step names them
+MOVE_KINDS = ("Ia", "Ib", "IIa", "IIb")
 
 
 @dataclass(frozen=True)
@@ -223,15 +217,16 @@ def _successors(key: tuple, kinds: Sequence[str], cap: int) -> Iterator:
 
 
 def moves_with_params(
-    m: Matching, kind: MoveKind, vertex_cap: int
+    m: Matching, kind: str, vertex_cap: int
 ) -> tuple[tuple[tuple[int, ...], Matching], ...]:
-    """Every single move of one kind from m, as (params, result) pairs.
+    """Every single move of one kind (a name in MOVE_KINDS) from m, as
+    (params, result) pairs.
 
     Results are in the total order, so that searches built on top are
     deterministic.  vertex_cap bounds every vertex a move may touch and
     must cover m itself.
     """
-    if not isinstance(kind, MoveKind):
+    if kind not in MOVE_KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
     if vertex_cap < m.max_vertex:
         raise ValueError(
@@ -239,26 +234,26 @@ def moves_with_params(
         )
     return tuple(
         (params, Matching(tuple((i, j) for j, i in result)))
-        for (_, params), result in _successors(_order_key(m), (kind.value,), vertex_cap)
+        for (_, params), result in _successors(_order_key(m), (kind,), vertex_cap)
     )
 
 
-def apply_move(m: Matching, kind: MoveKind, params: Sequence[int]) -> Matching:
-    """Apply one move with the given parameters, validating its legality.
+def apply_move(m: Matching, kind: str, params: Sequence[int]) -> Matching:
+    """Apply one move of a kind named in MOVE_KINDS, validating its legality.
 
     No vertex cap applies, which is the setting certificates replay in.
     Raises ValueError on any illegal move.
     """
     params = tuple(params)
     edges = set(m.edges)
-    if kind is MoveKind.TYPE_IA:
+    if kind == "Ia":
         i, j = params
         if i >= j:
             raise ValueError(f"Ia endpoints must satisfy {i} < {j}")
         if i in m.partner_map or j in m.partner_map:
             raise ValueError(f"Ia endpoints {i}, {j} must both be unmatched")
         return Matching(m.edges + ((i, j),))
-    if kind is MoveKind.TYPE_IB:
+    if kind == "Ib":
         i, j, k, l = params
         if (i, j) not in edges:
             raise ValueError(f"Ib source edge {i}-{j} is not present")
@@ -272,11 +267,11 @@ def apply_move(m: Matching, kind: MoveKind, params: Sequence[int]) -> Matching:
             raise ValueError(f"Ib target vertex {moved} is matched")
         rest = tuple(e for e in m.edges if e != (i, j))
         return Matching(rest + ((k, l),))
-    if kind in (MoveKind.TYPE_IIA, MoveKind.TYPE_IIB):
+    if kind in ("IIa", "IIb"):
         a, b, c, d = params
         if not a < b < c < d:
             raise ValueError(f"quadruple {params} is not increasing")
-        if kind is MoveKind.TYPE_IIA:
+        if kind == "IIa":
             if (a, d) not in edges or (b, c) not in edges:
                 raise ValueError(f"IIa needs edges {a}-{d} and {b}-{c}")
             if not _interval_clear(m, a, b, c):

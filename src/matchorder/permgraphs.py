@@ -8,9 +8,11 @@ characterization, and that characterization is constructive: the
 permutation can be read back off a labeled graph that passes it.
 
 Everything in scope is tiny (a couple dozen vertices at most), so the
-unlabeled-graph questions are answered by direct search: canonical forms
-come from a pruned exhaustive relabeling, recognition scans S_n, and the
-subgraph tests are backtracking injections.
+questions about graphs up to isomorphism are answered by direct search.
+A graph up to isomorphism is its ``canonical_form``, the LabeledGraph
+relabeled by a pruned exhaustive search, so two graphs are isomorphic
+exactly when their canonical forms are equal.  Recognition scans S_n, and
+the subgraph tests are backtracking injections.
 
 For the graph of a permutation two questions need no graph at all.  Its
 connected components are the prefix-maximum blocks of the one-line word:
@@ -37,7 +39,7 @@ from .permutations import Permutation, _inversion_pairs
 
 __all__ = [
     "LabeledGraph",
-    "UnlabeledGraph",
+    "canonical_form",
     "permutation_graph",
     "koh_ree_check",
     "permutation_from_labeled",
@@ -118,34 +120,14 @@ class LabeledGraph:
         return f"n={self.n}; {listing}".rstrip()
 
 
-class UnlabeledGraph:
-    """A graph considered up to isomorphism.
+def canonical_form(g: LabeledGraph) -> LabeledGraph:
+    """g relabeled so that vertex k is the k-th of ``_canonical_order(g)``.
 
-    The canonical form is computed eagerly at construction, so equality
-    and hashing are cheap afterwards.  ``representative`` is the canonical
-    relabeling of the input, a LabeledGraph other code can work with, and
-    equality and hashing compare it.
+    Two graphs are isomorphic exactly when their canonical forms are equal,
+    and the form is itself a relabeling of g.
     """
-
-    __slots__ = ("representative",)
-
-    def __init__(self, source: LabeledGraph):
-        order = _canonical_order(source)
-        new_label = {v: k + 1 for k, v in enumerate(order)}
-        self.representative = LabeledGraph(
-            source.n, tuple((new_label[i], new_label[j]) for i, j in source.edges)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnlabeledGraph):
-            return NotImplemented
-        return self.representative == other.representative
-
-    def __hash__(self) -> int:
-        return hash(self.representative)
-
-    def __repr__(self) -> str:
-        return f"UnlabeledGraph({self.representative.to_text()!r})"
+    new_label = {v: k + 1 for k, v in enumerate(_canonical_order(g))}
+    return LabeledGraph(g.n, tuple((new_label[i], new_label[j]) for i, j in g.edges))
 
 
 def _canonical_order(g: LabeledGraph) -> tuple[int, ...]:
@@ -156,7 +138,8 @@ def _canonical_order(g: LabeledGraph) -> tuple[int, ...]:
     are explored, which keeps the search shallow; candidates that are twins
     (same neighborhood apart from each other) are interchangeable, so one
     representative stands in for the rest.  The encoding determines the
-    relabeled edge set, so equal encodings mean isomorphic graphs.
+    relabeled edge set, so equal encodings mean isomorphic graphs; that
+    relabeling is ``canonical_form``.
     """
     adjacency = g.neighbors
     by_degree: dict[int, list[int]] = {}
@@ -266,14 +249,14 @@ def is_permutation_graph(
     """Some permutation whose inversion graph is isomorphic to g, if any.
 
     Scans S_n in lexicographic order (so the returned witness is stable),
-    filtering by edge count and degree sequence before paying for a
-    canonical form.  Rejects graphs larger than cap vertices.
+    filtering by edge count and degree sequence before comparing
+    canonical forms.  Rejects graphs larger than cap vertices.
     """
     if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
     if g.n > cap:
         raise ValueError(f"recognition is capped at {cap} vertices, got {g.n}")
-    target = UnlabeledGraph(g)
+    target = canonical_form(g)
     edge_count = len(g.edges)
     degrees = g.degree_sequence
     for letters in itertools.permutations(range(1, g.n + 1)):
@@ -283,13 +266,14 @@ def is_permutation_graph(
         candidate = LabeledGraph(g.n, tuple(pairs))
         if candidate.degree_sequence != degrees:
             continue
-        if UnlabeledGraph(candidate) == target:
+        if canonical_form(candidate) == target:
             return Permutation(letters)
     return None
 
 
-def fork_graph(k: int) -> UnlabeledGraph:
-    """The path on k vertices with two pendant leaves at each end.
+def fork_graph(k: int) -> LabeledGraph:
+    """The canonical form of the path on k vertices with two pendant leaves
+    at each end.
 
     k + 4 vertices in total; for k = 1 both ends are the same vertex and
     the graph is a star with four leaves.
@@ -298,7 +282,7 @@ def fork_graph(k: int) -> UnlabeledGraph:
         raise ValueError("the path needs at least one vertex")
     edges = [(i, i + 1) for i in range(1, k)]
     edges += [(1, k + 1), (1, k + 2), (k, k + 3), (k, k + 4)]
-    return UnlabeledGraph(LabeledGraph(k + 4, tuple(edges)))
+    return canonical_form(LabeledGraph(k + 4, tuple(edges)))
 
 
 def fork_labeled(n: int) -> LabeledGraph:

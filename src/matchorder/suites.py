@@ -27,8 +27,8 @@ from .engine import (
     verify_certificate,
 )
 from .matchings import (
+    MOVE_KINDS,
     Matching,
-    MoveKind,
     all_matchings,
     lex_key,
     moves_with_params,
@@ -36,9 +36,9 @@ from .matchings import (
 )
 from .permgraphs import (
     LabeledGraph,
-    UnlabeledGraph,
     _block_ids,
     _is_cyclic,
+    canonical_form,
     fork_graph,
     fork_permutation,
     is_permutation_graph,
@@ -220,7 +220,7 @@ def criterion_a7() -> tuple[bool, str]:
         perm = fork_permutation(n)
         if len(perm) != 2 * n + 4:
             return False, f"fork {n} has length {len(perm)}"
-        if UnlabeledGraph(permutation_graph(perm)) != fork_graph(2 * n):
+        if canonical_form(permutation_graph(perm)) != fork_graph(2 * n):
             return False, f"fork {n} graph mismatch"
         if n in expected_small and perm.to_text() != expected_small[n]:
             return False, f"fork {n} is {perm.to_text()}, expected {expected_small[n]}"
@@ -285,11 +285,11 @@ def criterion_a10() -> tuple[bool, str]:
     for m in all_matchings(cap):
         count += 1
         key = lex_key(m)
-        for kind in MoveKind:
+        for kind in MOVE_KINDS:
             for params, result in moves_with_params(m, kind, cap):
                 moves_seen += 1
                 if not key < lex_key(result):
-                    violations.append((m.to_text(), kind.value, params))
+                    violations.append((m.to_text(), kind, params))
     if count != 764:
         violations.append(f"expected 764 matchings, saw {count}")
     return _fail_detail(

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matchorder.matchings import (
+    MOVE_KINDS,
     Matching,
-    MoveKind,
     all_matchings,
     apply_move,
     decompose_intertwined,
@@ -29,9 +29,9 @@ def candidate_params(m, kind, cap):
     of each edge for Ib, and the increasing quadruples for IIa and IIb.
     Vertices reach one past the cap, so the cap filter has work to do."""
     vertices = range(1, cap + 2)
-    if kind is MoveKind.TYPE_IA:
+    if kind == "Ia":
         return list(itertools.combinations(vertices, 2))
-    if kind is MoveKind.TYPE_IB:
+    if kind == "Ib":
         return [p for i, j in m.edges for p in ((i, j, i + 1, j), (i, j, i, j + 1))]
     return list(itertools.combinations(vertices, 4))
 
@@ -143,39 +143,39 @@ def test_is_intertwined():
 
 def test_add_edge_moves():
     m = Matching.from_text("1-3")
-    assert moves(m, MoveKind.TYPE_IA, 5) == {
+    assert moves(m, "Ia", 5) == {
         Matching.from_text("1-3 2-4"),
         Matching.from_text("1-3 2-5"),
         Matching.from_text("1-3 4-5"),
     }
-    assert moves(Matching(()), MoveKind.TYPE_IA, 2) == {
+    assert moves(Matching(()), "Ia", 2) == {
         Matching.from_text("1-2")
     }
 
 
 def test_slide_moves():
-    assert moves(Matching.from_text("1-2"), MoveKind.TYPE_IB, 3) == {
+    assert moves(Matching.from_text("1-2"), "Ib", 3) == {
         Matching.from_text("1-3")
     }
     assert moves(
-        Matching.from_text("1-2 4-5"), MoveKind.TYPE_IB, 6
+        Matching.from_text("1-2 4-5"), "Ib", 6
     ) == {
         Matching.from_text("1-3 4-5"),
         Matching.from_text("1-2 4-6"),
     }
     # no room below the cap, no slide
-    assert moves(Matching.from_text("1-2"), MoveKind.TYPE_IB, 2) == set()
+    assert moves(Matching.from_text("1-2"), "Ib", 2) == set()
 
 
 def test_uncross_nested_pair():
-    assert moves(Matching.from_text("1-4 2-3"), MoveKind.TYPE_IIA, 4) == {
+    assert moves(Matching.from_text("1-4 2-3"), "IIa", 4) == {
         Matching.from_text("1-3 2-4")
     }
 
 
 def test_nested_rearrangements_with_a_spectator_edge():
     m = Matching.from_text("1-6 2-5 3-4")
-    assert moves(m, MoveKind.TYPE_IIA, 6) == {
+    assert moves(m, "IIa", 6) == {
         Matching.from_text("1-5 2-6 3-4"),
         Matching.from_text("1-4 2-5 3-6"),
         Matching.from_text("1-6 2-4 3-5"),
@@ -185,11 +185,11 @@ def test_nested_rearrangements_with_a_spectator_edge():
 def test_nested_rearrangement_blocked_by_low_partner():
     # vertex 3 sits between 2 and 4 and is matched down at 1, below c = 5
     m = Matching.from_text("1-3 2-6 4-5")
-    assert moves(m, MoveKind.TYPE_IIA, 6) == set()
+    assert moves(m, "IIa", 6) == set()
 
 
 def test_crossing_rearrangement():
-    assert moves(Matching.from_text("1-3 2-4"), MoveKind.TYPE_IIB, 4) == {
+    assert moves(Matching.from_text("1-3 2-4"), "IIb", 4) == {
         Matching.from_text("1-2 3-4")
     }
 
@@ -197,10 +197,10 @@ def test_crossing_rearrangement():
 def test_crossing_rearrangement_interval_condition():
     # vertex 4 lies between 3 and 6 and is matched at 5 <= 6: blocked
     blocked = Matching.from_text("1-6 3-7 4-5")
-    assert moves(blocked, MoveKind.TYPE_IIB, 7) == set()
+    assert moves(blocked, "IIb", 7) == set()
     # matching 4 past the interval bound unblocks two rearrangements
     free = Matching.from_text("1-6 3-7 4-8")
-    assert moves(free, MoveKind.TYPE_IIB, 8) == {
+    assert moves(free, "IIb", 8) == {
         Matching.from_text("1-3 4-8 6-7"),
         Matching.from_text("1-4 3-7 6-8"),
     }
@@ -208,17 +208,17 @@ def test_crossing_rearrangement_interval_condition():
 
 def test_moves_reject_a_cap_below_the_matching():
     with pytest.raises(ValueError, match="vertex_cap"):
-        moves_with_params(Matching.from_text("1-5"), MoveKind.TYPE_IA, 4)
-    # the generator behind it takes bare kind names; the public form does not
-    with pytest.raises(ValueError, match="unknown move kind"):
-        moves_with_params(Matching.from_text("1-5"), "Ia", 6)
+        moves_with_params(Matching.from_text("1-5"), "Ia", 4)
+    for kind in ("Ix", 1):
+        with pytest.raises(ValueError, match="unknown move kind"):
+            moves_with_params(Matching.from_text("1-5"), kind, 6)
 
 
 def test_moves_are_sorted_and_deterministic():
     # Ia and Ib come out in order without a sort; this pins that argument
     for cap in range(9):
         for m in matchings_cap(cap):
-            for kind in MoveKind:
+            for kind in MOVE_KINDS:
                 moves = moves_with_params(m, kind, cap)
                 assert moves == moves_with_params(m, kind, cap)
                 keys = [(lex_key(result), params) for params, result in moves]
@@ -229,27 +229,27 @@ def test_apply_move_matches_enumeration():
     # both directions: every generated move is legal, every legal move generated
     for cap in range(8):
         for m in matchings_cap(cap):
-            for kind in MoveKind:
+            for kind in MOVE_KINDS:
                 assert moves_with_params(m, kind, cap) == tuple(legal_moves(m, kind, cap))
 
 
 def test_apply_move_rejects_illegal_moves():
     m = Matching.from_text("1-4 2-3")
     with pytest.raises(ValueError, match="unmatched"):
-        apply_move(m, MoveKind.TYPE_IA, (1, 5))
+        apply_move(m, "Ia", (1, 5))
     with pytest.raises(ValueError, match="must satisfy"):
-        apply_move(m, MoveKind.TYPE_IA, (6, 5))
+        apply_move(m, "Ia", (6, 5))
     with pytest.raises(ValueError, match="not increasing"):
-        apply_move(m, MoveKind.TYPE_IIA, (1, 3, 2, 4))
+        apply_move(m, "IIa", (1, 3, 2, 4))
     with pytest.raises(ValueError, match="not present"):
-        apply_move(m, MoveKind.TYPE_IB, (1, 5, 1, 6))
+        apply_move(m, "Ib", (1, 5, 1, 6))
     with pytest.raises(ValueError, match="slide"):
-        apply_move(m, MoveKind.TYPE_IB, (1, 4, 1, 6))
+        apply_move(m, "Ib", (1, 4, 1, 6))
     with pytest.raises(ValueError, match="needs edges"):
-        apply_move(m, MoveKind.TYPE_IIB, (1, 2, 3, 4))
+        apply_move(m, "IIb", (1, 2, 3, 4))
     blocked = Matching.from_text("1-3 2-6 4-5")
     with pytest.raises(ValueError, match="matched at or below"):
-        apply_move(blocked, MoveKind.TYPE_IIA, (2, 4, 5, 6))
+        apply_move(blocked, "IIa", (2, 4, 5, 6))
 
 
 def test_word_bijection_examples():
