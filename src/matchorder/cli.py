@@ -23,11 +23,11 @@ from typing import TextIO
 from .engine import (
     BUDGET,
     DEFAULT_BUDGET,
+    _SIDES,
     MoveSet,
+    _decider,
     antichain_check,
     certificate_from_document,
-    matching_leq,
-    perm_leq,
     result_document,
     verify_certificate,
 )
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def search_command(name, func, help):
         cmd = command(name, func, help)
-        cmd.add_argument("--kind", choices=("perm", "matching"), default="perm")
+        cmd.add_argument("--kind", choices=tuple(_SIDES), default="perm")
         cmd.add_argument(
             "--moves",
             default="I,II",
@@ -138,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_items(kind: str, texts):
-    if kind == "perm":
-        return [Permutation.from_text(t) for t in texts]
-    return [Matching.from_text(t) for t in texts]
-
-
 # how text output shows one search answer and an antichain verdict
 _SHOWN = {True: "comparable", False: "incomparable", BUDGET: BUDGET}
 _VERDICTS = {"antichain": "antichain", "comparable": "not an antichain", BUDGET: BUDGET}
@@ -151,19 +145,20 @@ _VERDICTS = {"antichain": "antichain", "comparable": "not an antichain", BUDGET:
 
 def _cmd_compare(args):
     moves = MoveSet.from_names(args.moves)
-    a, b = _parse_items(args.kind, (args.a, args.b))
-    decide = perm_leq if args.kind == "perm" else matching_leq
-    result = decide(a, b, moves, args.budget)
+    side = _SIDES[args.kind]
+    a, b = side.from_text(args.a), side.from_text(args.b)
+    result = _decider((a, b))(a, b, moves, args.budget)
     lines = [_SHOWN[result.comparable]]
     if result.comparable is True:
         lines += [step.to_text() for step in result.certificate.steps]
     code = 2 if result.comparable == BUDGET else 0
-    return code, result_document(args.kind, a, b, result), lines
+    return code, result_document(a, b, result), lines
 
 
 def _cmd_antichain(args):
     moves = MoveSet.from_names(args.moves)
-    report = antichain_check(_parse_items(args.kind, args.items), moves, args.budget)
+    items = [_SIDES[args.kind].from_text(text) for text in args.items]
+    report = antichain_check(items, moves, args.budget)
     verdict = report.verdict
     pairs = [
         {"i": p.i + 1, "j": p.j + 1, "comparable": p.result.comparable}

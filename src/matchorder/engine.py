@@ -18,7 +18,9 @@ Termination therefore never depends on the order-theoretic facts the test
 suites check; those are verified, not trusted.  A state budget turns
 runaway queries into an explicit "budget" outcome that is never conflated
 with incomparability.  Certificate replay goes through the ``apply_*``
-validators, never through the successor generators the search uses.
+validators, never through the successor generators the search uses.  The
+side of a query or certificate is the type of its states; ``_SIDES`` maps
+the side names of the CLI and result documents to those types.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
+
+_SIDES = {"perm": Permutation, "matching": Matching}
 
 
 @dataclass(frozen=True)
@@ -166,16 +170,12 @@ class Step:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A replayable move sequence claiming to take start to end."""
+    """A replayable move sequence claiming to take start to end; the type
+    of start, Matching or Permutation, is the side its steps replay on."""
 
-    kind: str
     start: Matching | Permutation
     end: Matching | Permutation
     steps: tuple[Step, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("matching", "perm"):
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -225,13 +225,13 @@ class AntichainReport:
         return "antichain"
 
 
-def _decide(kind: str, a, b, start, target, successors, admit, budget) -> SearchResult:
+def _decide(a, b, start, target, successors, admit, budget) -> SearchResult:
     """Search from start to target and certify a positive answer by its path."""
     outcome, parents = bfs(start, successors, target, admit, budget)
     certificate = None
     if outcome is True:
         steps = tuple(Step(*step) for step in path(parents, target, successors))
-        certificate = Certificate(kind, a, b, steps)
+        certificate = Certificate(a, b, steps)
     return SearchResult(outcome, certificate, len(parents))
 
 
@@ -264,7 +264,7 @@ def matching_leq(
     def successors(key: tuple):
         return _successors(key, kinds if len(key) < len(target) else full, cap)
 
-    return _decide("matching", a, b, start, target, successors, admit, budget)
+    return _decide(a, b, start, target, successors, admit, budget)
 
 
 def perm_leq(
@@ -294,14 +294,24 @@ def perm_leq(
         if moves.rules:
             yield from _rewrite_successors(current, moves.rules)
 
-    return _decide("perm", a, b, start, target, successors, None, budget)
+    return _decide(a, b, start, target, successors, None, budget)
+
+
+def _decider(items: Sequence[Matching] | Sequence[Permutation]):
+    """The decider for items' side.  It is looked up at call time, so a
+    wrapper patched over perm_leq or matching_leq sees every query."""
+    if all(isinstance(item, Matching) for item in items):
+        return matching_leq
+    if all(isinstance(item, Permutation) for item in items):
+        return perm_leq
+    raise ValueError("items must be all matchings or all permutations")
 
 
 _PERM_STEP_APPLY = {"swap": apply_swap, "insert": apply_insertion, "rule": apply_rewrite}
 
 
-def _apply_step(kind: str, state, step: Step):
-    if kind == "matching":
+def _apply_step(state, step: Step):
+    if isinstance(state, Matching):
         if step.kind not in MOVE_KINDS:
             raise ValueError(f"step kind {step.kind!r} is not a matching move")
         return apply_move(state, step.kind, step.params)
@@ -322,7 +332,7 @@ def verify_certificate(certificate: Certificate) -> VerificationResult:
     state = certificate.start
     for index, step in enumerate(certificate.steps):
         try:
-            state = _apply_step(certificate.kind, state, step)
+            state = _apply_step(state, step)
         except ValueError as exc:
             return VerificationResult(False, index, str(exc))
     if state != certificate.end:
@@ -341,12 +351,7 @@ def antichain_check(
     back incomparable; a budget outcome on any pair, with no comparable
     pair, makes the overall verdict "budget".
     """
-    if all(isinstance(item, Matching) for item in items):
-        decide = matching_leq
-    elif all(isinstance(item, Permutation) for item in items):
-        decide = perm_leq
-    else:
-        raise ValueError("items must be all matchings or all permutations")
+    decide = _decider(items)
     pairs = []
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
@@ -354,14 +359,14 @@ def antichain_check(
     return AntichainReport(tuple(pairs))
 
 
-def result_document(kind: str, a, b, result: SearchResult) -> dict:
+def result_document(a, b, result: SearchResult) -> dict:
     """JSON-ready summary of a comparison.
 
     start and end ride along so the document is self-contained: the verify
     command can replay it without the original query.
     """
     return {
-        "kind": kind,
+        "kind": next(name for name, side in _SIDES.items() if isinstance(a, side)),
         "start": a.to_text(),
         "end": b.to_text(),
         "comparable": result.comparable,
@@ -402,13 +407,8 @@ def certificate_from_document(doc: dict) -> Certificate:
     for index, text in enumerate(steps_texts):
         if not isinstance(text, str):
             raise ValueError(f"step {index} must be a string, not {type(text).__name__}")
-    if kind == "matching":
-        start: Matching | Permutation = Matching.from_text(start_text)
-        end: Matching | Permutation = Matching.from_text(end_text)
-    elif kind == "perm":
-        start = Permutation.from_text(start_text)
-        end = Permutation.from_text(end_text)
-    else:
+    side = _SIDES.get(kind) if isinstance(kind, str) else None
+    if side is None:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    steps = tuple(Step.from_text(text) for text in steps_texts)
-    return Certificate(kind, start, end, steps)
+    start, end = side.from_text(start_text), side.from_text(end_text)
+    return Certificate(start, end, tuple(Step.from_text(text) for text in steps_texts))

@@ -262,7 +262,6 @@ def criterion_a9() -> tuple[bool, str]:
     if kinds != ["insert", "insert", "rule"]:
         return False, f"unexpected certificate shape {kinds}"
     scripted = Certificate(
-        "perm",
         start,
         end,
         (

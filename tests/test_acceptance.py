@@ -2,14 +2,18 @@
 
 Run with -s to see the per-criterion lines; each test prints
 "<name> pass (<seconds>s): <detail>" or the FAIL equivalent before
-asserting.  Criteria with a stated runtime target also assert it.
+asserting.  Criteria with a stated runtime target also assert it.  The
+planted-fault tests check the other branch: a criterion fed a bad move
+reports its violations.
 """
 
+import re
 from time import perf_counter
 
 import pytest
 
 from matchorder import suites
+from matchorder.matchings import Matching
 
 _TIME_LIMITS = {"A1": 30.0, "A2": 60.0, "A4": 10.0, "A9": 30.0}
 # exact detail strings: state counts, pair counts, successor counts and
@@ -44,3 +48,38 @@ def test_criterion(name):
     limit = _TIME_LIMITS.get(name)
     if limit is not None:
         assert elapsed < limit, f"{name} took {elapsed:.1f}s, target {limit:.0f}s"
+
+
+def _plus_sorting_swap(swaps):
+    """swaps, plus a swap to the sorted letters, which adds no inversion."""
+
+    def planted(letters):
+        return [*swaps(letters), (("swap", (1, len(letters))), tuple(sorted(letters)))]
+
+    return planted
+
+
+def _plus_dropped_edge(moves):
+    """moves, plus a move that drops the first edge, which lowers the order."""
+
+    def planted(m, kind, cap):
+        extra = (((), Matching(m.edges[1:])),) if m.edges else ()
+        return moves(m, kind, cap) + extra
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, attr, plant",
+    [
+        ("A4", "_swap_successors", _plus_sorting_swap),
+        ("A5", "_swap_successors", _plus_sorting_swap),
+        ("A6", "_swap_successors", _plus_sorting_swap),
+        ("A10", "moves_with_params", _plus_dropped_edge),
+    ],
+)
+def test_criterion_reports_a_planted_fault(monkeypatch, name, attr, plant):
+    monkeypatch.setattr(suites, attr, plant(getattr(suites, attr)))
+    passed, detail = dict(suites.CRITERIA)[name]()
+    assert passed is False
+    assert re.match(r"^\d+ violations \(", detail), detail

@@ -376,6 +376,14 @@ def test_verify_rejects_a_certificate_that_is_not_a_list(monkeypatch, capsys):
     assert "certificate must be a list of steps, not str" in err
 
 
+@pytest.mark.parametrize("kind", [["perm"], {}, None, 1, "Perm"])
+def test_verify_rejects_an_unknown_kind(monkeypatch, capsys, kind):
+    # a list or dict kind must not reach a dict lookup, where it is unhashable
+    doc = dict(_good_document(), kind=kind)
+    err = _verify_rejects(monkeypatch, capsys, doc)
+    assert err == f"error: unknown certificate kind {kind!r}\n"
+
+
 def test_suite_single_criterion():
     code, out = run("suite", "--criteria", "A7")
     assert code == 0

@@ -134,9 +134,17 @@ def test_step_parsing_names_a_bad_edge_token():
         assert str(info.value) == f"bad step {text!r}: bad edge token {token!r}"
 
 
-def test_certificate_kind_is_checked():
-    with pytest.raises(ValueError, match="kind"):
-        Certificate("word", P("21"), P("21"), ())
+def test_certificate_states_of_two_sides_fail_replay():
+    # the start's type is the side: steps replay there, and the end must match
+    for cert, failed_step, reason in (
+        (Certificate(P("12"), M("1-2"), (Step("swap", (1, 2)),)), None, "end mismatch"),
+        (Certificate(M("1-2"), P("21"), (Step("swap", (1, 2)),)), 0,
+         "step kind 'swap' is not a matching move"),
+    ):
+        verdict = verify_certificate(cert)
+        assert not verdict
+        assert verdict.failed_step == failed_step
+        assert verdict.reason == reason
 
 
 def test_matching_identity():
@@ -452,7 +460,7 @@ def test_comparable_matchings_respect_the_total_order():
 
 
 def test_verify_reports_end_mismatch():
-    cert = Certificate("perm", P("2143"), P("2341"), (Step("swap", (2, 3)),))
+    cert = Certificate(P("2143"), P("2341"), (Step("swap", (2, 3)),))
     verdict = verify_certificate(cert)
     assert not verdict
     assert verdict.failed_step is None
@@ -462,7 +470,6 @@ def test_verify_reports_end_mismatch():
 def test_verify_reports_the_failing_step():
     # after the first swap the state is 3142, where 2 sits after 3
     cert = Certificate(
-        "perm",
         P("2143"),
         P("3412"),
         (Step("swap", (2, 3)), Step("swap", (2, 3))),
@@ -475,9 +482,9 @@ def test_verify_reports_the_failing_step():
 
 def test_verify_rejects_steps_of_the_wrong_kind():
     for cert, reason in (
-        (Certificate("matching", M("1-2"), M("1-3"), (Step("swap", (1, 2)),)),
+        (Certificate(M("1-2"), M("1-3"), (Step("swap", (1, 2)),)),
          "not a matching move"),
-        (Certificate("perm", P("12"), P("21"), (Step("Ia", (1, 2)),)),
+        (Certificate(P("12"), P("21"), (Step("Ia", (1, 2)),)),
          "not a permutation move"),
     ):
         verdict = verify_certificate(cert)
@@ -516,7 +523,7 @@ def test_antichain_on_matchings():
 
 def test_result_document_round_trip():
     result = perm_leq(P("2143"), P("3142"), I_AND_II)
-    doc = result_document("perm", P("2143"), P("3142"), result)
+    doc = result_document(P("2143"), P("3142"), result)
     assert doc["comparable"] is True
     assert doc["certificate"] == ["swap 2 3"]
     assert doc["states_explored"] == result.states_explored
@@ -527,14 +534,15 @@ def test_result_document_round_trip():
 
 def test_result_document_for_matchings():
     result = matching_leq(M("1-2"), M("1-3"), MoveSet.from_names("I"))
-    doc = result_document("matching", M("1-2"), M("1-3"), result)
+    doc = result_document(M("1-2"), M("1-3"), result)
+    assert doc["kind"] == "matching"
     rebuilt = certificate_from_document(doc)
     assert verify_certificate(rebuilt)
 
 
 def test_document_without_certificate_is_rejected():
     result = perm_leq(P("3142"), P("2143"), I_AND_II)
-    doc = result_document("perm", P("3142"), P("2143"), result)
+    doc = result_document(P("3142"), P("2143"), result)
     assert doc["certificate"] is None
     with pytest.raises(ValueError, match="no certificate"):
         certificate_from_document(doc)

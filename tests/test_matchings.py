@@ -250,6 +250,8 @@ def test_apply_move_rejects_illegal_moves():
     blocked = Matching.from_text("1-3 2-6 4-5")
     with pytest.raises(ValueError, match="matched at or below"):
         apply_move(blocked, "IIa", (2, 4, 5, 6))
+    with pytest.raises(ValueError, match="unknown move kind 'bogus'"):
+        apply_move(m, "bogus", ())
 
 
 def test_word_bijection_examples():
@@ -319,6 +321,9 @@ def test_all_matchings_counts():
     for n in range(2, 9):
         expected.append(expected[-1] + (n - 1) * expected[-2])
     assert [len(matchings_cap(n)) for n in range(9)] == expected
+    # a generator: the check runs on the first next
+    with pytest.raises(ValueError, match="non-negative"):
+        list(all_matchings(-1))
 
 
 def test_all_matchings_distinct_and_bounded():

@@ -76,6 +76,8 @@ def test_labeled_graph_validation():
         LabeledGraph(3, ((1, 4),))
     with pytest.raises(ValueError, match="range"):
         LabeledGraph(3, ((0, 2),))
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        LabeledGraph(-1)
 
 
 def test_graph_text_round_trip():
@@ -87,6 +89,8 @@ def test_graph_text_round_trip():
         LabeledGraph.from_text("6; 1-2")
     with pytest.raises(ValueError, match="'1:2'"):
         LabeledGraph.from_text("n=3; 1:2")
+    with pytest.raises(ValueError, match="bad vertex count token 'n=x'"):
+        LabeledGraph.from_text("n=x;")
 
 
 def test_canonical_form_agrees_with_brute_isomorphism_on_four_vertices():
@@ -279,6 +283,8 @@ def test_fork_labeled_and_permutation():
         p = fork_permutation(n)
         assert len(p) == 2 * n + 4
         assert canonical_form(permutation_graph(p)) == fork_graph(2 * n)
+    with pytest.raises(ValueError, match="at least 1"):
+        fork_labeled(0)
 
 
 def test_cycle_detection():
