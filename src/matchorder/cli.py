@@ -11,6 +11,10 @@ Every ``_cmd_*`` handler takes the parsed arguments and returns
 ``--format json`` prints on one line, and the lines every other format
 prints.  Handlers write nothing; ``main`` alone writes stdout, and turns a
 usage or ``ValueError`` problem into one ``error:`` line on stderr.
+
+The graph commands (fork, graph, recognize) import ``permgraphs``, and
+suite imports ``suites``, inside their handlers, so the other commands
+never load either module.
 """
 
 from __future__ import annotations
@@ -32,15 +36,6 @@ from .engine import (
     verify_certificate,
 )
 from .matchings import Matching, decompose_intertwined, word_to_matching
-from .permgraphs import (
-    RECOGNITION_DEFAULT_CAP,
-    LabeledGraph,
-    fork_labeled,
-    fork_permutation,
-    is_permutation_graph,
-    permutation_graph,
-    to_dot,
-)
 from .permutations import Permutation
 
 __all__ = ["main", "build_parser"]
@@ -115,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     recognize = command(
         "recognize", _cmd_recognize, "find a permutation realizing a graph, if any"
     )
-    recognize.add_argument("--cap", type=_positive, default=RECOGNITION_DEFAULT_CAP)
+    recognize.add_argument("--cap", type=_positive)
     recognize.add_argument("graph")
 
     command(
@@ -170,12 +165,16 @@ def _cmd_antichain(args):
     return code, {"pairs": pairs, "verdict": verdict}, lines
 
 
-def _graph_output(g: LabeledGraph, fmt: str):
+def _graph_output(g, fmt: str):
+    from .permgraphs import to_dot
+
     doc = {"n": g.n, "edges": [list(e) for e in g.edges]}
     return 0, doc, [to_dot(g) if fmt == "dot" else g.to_text()]
 
 
 def _cmd_fork(args):
+    from .permgraphs import fork_labeled, fork_permutation
+
     if args.emit == "graph":
         return _graph_output(fork_labeled(args.n), args.format)
     if args.format == "dot":
@@ -189,6 +188,8 @@ def _cmd_fork(args):
 
 
 def _cmd_graph(args):
+    from .permgraphs import permutation_graph
+
     g = permutation_graph(Permutation.from_text(args.perm))
     return _graph_output(g, args.format)
 
@@ -200,7 +201,10 @@ def _cmd_decompose(args):
 
 
 def _cmd_recognize(args):
-    witness = is_permutation_graph(LabeledGraph.from_text(args.graph), args.cap)
+    from .permgraphs import RECOGNITION_DEFAULT_CAP, LabeledGraph, is_permutation_graph
+
+    graph = LabeledGraph.from_text(args.graph)
+    witness = is_permutation_graph(graph, args.cap or RECOGNITION_DEFAULT_CAP)
     if witness is None:
         return 0, {"permutation": None}, ["not a permutation graph"]
     return 0, {"permutation": witness.to_text()}, [witness.to_text()]

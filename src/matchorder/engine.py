@@ -310,24 +310,39 @@ def _decider(items: Sequence[Matching] | Sequence[Permutation]):
 _PERM_STEP_APPLY = {"swap": apply_swap, "insert": apply_insertion, "rule": apply_rewrite}
 
 
+def _require_well_formed(step: Step) -> None:
+    """Raise unless step comes back unchanged from its text form: to_text
+    and from_text are where each kind's param count and types are spelled."""
+    try:
+        if Step.from_text(step.to_text()) == step:
+            return
+    except (AttributeError, IndexError, TypeError, ValueError):
+        pass
+    raise ValueError(f"malformed step: kind {step.kind!r}, params {step.params!r}")
+
+
 def _apply_step(state, step: Step):
     if isinstance(state, Matching):
         if step.kind not in MOVE_KINDS:
             raise ValueError(f"step kind {step.kind!r} is not a matching move")
+        _require_well_formed(step)
         return apply_move(state, step.kind, step.params)
     apply = _PERM_STEP_APPLY.get(step.kind)
     if apply is None:
         raise ValueError(f"step kind {step.kind!r} is not a permutation move")
+    _require_well_formed(step)
     return apply(state, *step.params)
 
 
 def verify_certificate(certificate: Certificate) -> VerificationResult:
     """Replay a certificate step by step.
 
-    Every step is validated through the owning module's single-step
-    semantics; the index of the first illegal step is reported, and a
-    clean replay that lands somewhere other than the claimed end fails
-    with failed_step None.
+    Every step must be of its side's kinds and survive its own text form
+    unchanged, which pins its param count and types; it is then validated
+    through the owning module's single-step semantics.  The index of the
+    first illegal or malformed step is reported, never raised, and a clean
+    replay that lands somewhere other than the claimed end fails with
+    failed_step None.
     """
     state = certificate.start
     for index, step in enumerate(certificate.steps):

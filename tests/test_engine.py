@@ -493,6 +493,28 @@ def test_verify_rejects_steps_of_the_wrong_kind():
         assert reason in verdict.reason
 
 
+@pytest.mark.parametrize(
+    "start, end, step",
+    [
+        # too few or too many params
+        (P("12"), P("21"), Step("swap", (1,))),
+        (P("12"), P("213"), Step("insert", (2, 2, 9))),
+        (P("231"), P("312"), Step("rule", (RewriteRule.from_text("231-312"),))),
+        (M("1-2"), M("1-2 3-4"), Step("Ia", (1,))),
+        (M("1-4 2-3"), M("1-3 2-4"), Step("IIa", (1, 2, 3))),
+        # params that are not ints
+        (P("12"), P("21"), Step("swap", ("1", "2"))),
+        (M(""), M("1-2"), Step("Ia", ("1", "2"))),
+    ],
+    ids=["swap-1", "insert-3", "rule-1", "Ia-1", "IIa-3", "swap-str", "Ia-str"],
+)
+def test_verify_reports_malformed_steps_without_raising(start, end, step):
+    verdict = verify_certificate(Certificate(start, end, (step,)))
+    assert (verdict.ok, verdict.failed_step) == (False, 0)
+    assert verdict.reason.startswith(f"malformed step: kind {step.kind!r}, params ")
+    assert "\n" not in verdict.reason
+
+
 def test_antichain_on_the_fork_pair():
     report = antichain_check([P("412563"), P("41263785")], I_AND_II)
     assert report.verdict == "antichain"
