@@ -20,7 +20,9 @@ runaway queries into an explicit "budget" outcome that is never conflated
 with incomparability.  Certificate replay goes through the ``apply_*``
 validators, never through the successor generators the search uses.  The
 side of a query or certificate is the type of its states; ``_SIDES`` maps
-the side names of the CLI and result documents to those types.
+the side names of the CLI and result documents to those types.  Each step
+kind is spelled once, in ``_STEP_KINDS``: its side, validator, text form
+and param types drive ``Step``'s text both ways and replay's shape check.
 """
 
 from __future__ import annotations
@@ -70,6 +72,19 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 _SIDES = {"perm": Permutation, "matching": Matching}
+
+# kind -> (side, the validator replay calls, text form, param types in order).
+# In a text form each "{}" token is one param and each "{}-{}" token one
+# edge, two params; every other token is literal.
+_STEP_KINDS = {
+    "Ia": (Matching, apply_move, "Ia {}-{}", (int, int)),
+    "Ib": (Matching, apply_move, "Ib {}-{} -> {}-{}", (int, int, int, int)),
+    "IIa": (Matching, apply_move, "IIa {} {} {} {}", (int, int, int, int)),
+    "IIb": (Matching, apply_move, "IIb {} {} {} {}", (int, int, int, int)),
+    "swap": (Permutation, apply_swap, "swap {} {}", (int, int)),
+    "insert": (Permutation, apply_insertion, "insert {} @ {}", (int, int)),
+    "rule": (Permutation, apply_rewrite, "rule {} @ {}", (RewriteRule, int)),
+}
 
 
 @dataclass(frozen=True)
@@ -123,49 +138,42 @@ class MoveSet:
 class Step:
     """One recorded move.  params are 1-based vertex, value, or position
     numbers, except that a rule step's params are (RewriteRule, start);
-    its text form still names the rule as "lhs-rhs"."""
+    its text form still names the rule as "lhs-rhs".  Both text directions
+    read the kind's form in _STEP_KINDS."""
 
     kind: str
     params: tuple
 
     def to_text(self) -> str:
-        p = self.params
-        if self.kind == "Ia":
-            return f"Ia {p[0]}-{p[1]}"
-        if self.kind == "Ib":
-            return f"Ib {p[0]}-{p[1]} -> {p[2]}-{p[3]}"
-        if self.kind in ("IIa", "IIb"):
-            return f"{self.kind} {p[0]} {p[1]} {p[2]} {p[3]}"
-        if self.kind == "swap":
-            return f"swap {p[0]} {p[1]}"
-        if self.kind == "insert":
-            return f"insert {p[0]} @ {p[1]}"
-        if self.kind == "rule":
-            return f"rule {p[0].to_text()} @ {p[1]}"
-        raise ValueError(f"unknown step kind {self.kind!r}")
+        entry = _STEP_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if entry is None:
+            raise ValueError(f"unknown step kind {self.kind!r}")
+        return entry[2].format(*self.params)
 
     @classmethod
     def from_text(cls, text: str) -> "Step":
         tokens = text.split()
         if not tokens:
             raise ValueError("empty step")
-        kind = tokens[0]
+        entry = _STEP_KINDS.get(tokens[0])
+        slots = entry[2].split() if entry else ()
+        if len(slots) != len(tokens) or any(
+            slot != token for slot, token in zip(slots, tokens) if "{" not in slot
+        ):
+            raise ValueError(f"bad step {text!r}")
+        types, params = entry[3], []
         try:
-            if kind == "Ia" and len(tokens) == 2:
-                return cls(kind, _parse_edge(tokens[1]))
-            if kind == "Ib" and len(tokens) == 4 and tokens[2] == "->":
-                return cls(kind, _parse_edge(tokens[1]) + _parse_edge(tokens[3]))
-            if kind in ("IIa", "IIb") and len(tokens) == 5:
-                return cls(kind, tuple(int(t) for t in tokens[1:]))
-            if kind == "swap" and len(tokens) == 3:
-                return cls(kind, (int(tokens[1]), int(tokens[2])))
-            if kind == "insert" and len(tokens) == 4 and tokens[2] == "@":
-                return cls(kind, (int(tokens[1]), int(tokens[3])))
-            if kind == "rule" and len(tokens) == 4 and tokens[2] == "@":
-                return cls(kind, (RewriteRule.from_text(tokens[1]), int(tokens[3])))
+            for slot, token in zip(slots, tokens):
+                if slot == "{}-{}":
+                    params += _parse_edge(token)
+                elif slot == "{}":
+                    param_type = types[len(params)]
+                    params.append(
+                        int(token) if param_type is int else param_type.from_text(token)
+                    )
         except ValueError as exc:
             raise ValueError(f"bad step {text!r}: {exc}") from None
-        raise ValueError(f"bad step {text!r}")
+        return cls(tokens[0], tuple(params))
 
 
 @dataclass(frozen=True)
@@ -307,42 +315,27 @@ def _decider(items: Sequence[Matching] | Sequence[Permutation]):
     raise ValueError("items must be all matchings or all permutations")
 
 
-_PERM_STEP_APPLY = {"swap": apply_swap, "insert": apply_insertion, "rule": apply_rewrite}
-
-
-def _require_well_formed(step: Step) -> None:
-    """Raise unless step comes back unchanged from its text form: to_text
-    and from_text are where each kind's param count and types are spelled."""
-    try:
-        if Step.from_text(step.to_text()) == step:
-            return
-    except (AttributeError, IndexError, TypeError, ValueError):
-        pass
-    raise ValueError(f"malformed step: kind {step.kind!r}, params {step.params!r}")
-
-
 def _apply_step(state, step: Step):
-    if isinstance(state, Matching):
-        if step.kind not in MOVE_KINDS:
-            raise ValueError(f"step kind {step.kind!r} is not a matching move")
-        _require_well_formed(step)
-        return apply_move(state, step.kind, step.params)
-    apply = _PERM_STEP_APPLY.get(step.kind)
-    if apply is None:
-        raise ValueError(f"step kind {step.kind!r} is not a permutation move")
-    _require_well_formed(step)
-    return apply(state, *step.params)
+    kind, params = step.kind, step.params
+    entry = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None or not isinstance(state, entry[0]):
+        side_name = "matching" if isinstance(state, Matching) else "permutation"
+        raise ValueError(f"step kind {kind!r} is not a {side_name} move")
+    side, apply, _, types = entry
+    if not isinstance(params, tuple) or tuple(map(type, params)) != types:
+        raise ValueError(f"malformed step: kind {kind!r}, params {params!r}")
+    return apply(state, kind, params) if side is Matching else apply(state, *params)
 
 
 def verify_certificate(certificate: Certificate) -> VerificationResult:
     """Replay a certificate step by step.
 
-    Every step must be of its side's kinds and survive its own text form
-    unchanged, which pins its param count and types; it is then validated
-    through the owning module's single-step semantics.  The index of the
-    first illegal or malformed step is reported, never raised, and a clean
-    replay that lands somewhere other than the claimed end fails with
-    failed_step None.
+    Every step must be of its side's kinds, and its params a tuple of
+    exactly the count and types _STEP_KINDS lists for its kind (a bool is
+    not an int here); it is then validated through the owning module's
+    single-step semantics.  The index of the first illegal or malformed
+    step is reported, never raised, and a clean replay that lands somewhere
+    other than the claimed end fails with failed_step None.
     """
     state = certificate.start
     for index, step in enumerate(certificate.steps):

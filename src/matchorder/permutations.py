@@ -103,6 +103,9 @@ class RewriteRule:
         if self.lhs == self.rhs:
             raise ValueError("rewrite rule must change its window")
 
+    def __str__(self) -> str:
+        return self.to_text()
+
     @classmethod
     def from_text(cls, text: str) -> "RewriteRule":
         """Parse "231-312" (each side in permutation text form)."""

@@ -122,9 +122,28 @@ def test_step_text_round_trips():
 
 
 def test_step_parsing_rejects_malformed_text():
-    for bad in ("", "swap 2", "frob 1 2", "insert 4 2", "Ib 1-2 1-3", "rule 231 @ 1"):
-        with pytest.raises(ValueError):
-            Step.from_text(bad)
+    for text, message in (
+        ("", "empty step"),
+        ("   ", "empty step"),
+        ("swap 2", "bad step 'swap 2'"),
+        ("swap 2 3 4", "bad step 'swap 2 3 4'"),
+        ("insert 4 2", "bad step 'insert 4 2'"),
+        ("IIa 1 2 3", "bad step 'IIa 1 2 3'"),
+        ("Ia 1-2 3-4", "bad step 'Ia 1-2 3-4'"),
+        ("Ib 1-2 1-3", "bad step 'Ib 1-2 1-3'"),
+        ("frob", "bad step 'frob'"),
+        ("frob 1 2", "bad step 'frob 1 2'"),
+        ("swap x 2", "bad step 'swap x 2': invalid literal for int() with base 10: 'x'"),
+        ("IIb 1 2 3 y", "bad step 'IIb 1 2 3 y': invalid literal for int() with base 10: 'y'"),
+        ("rule 231 @ 1", "bad step 'rule 231 @ 1': bad rewrite rule '231', expected lhs-rhs"),
+        ("rule 231-231 @ 1",
+         "bad step 'rule 231-231 @ 1': rewrite rule must change its window"),
+        ("rule 231-312 @ x",
+         "bad step 'rule 231-312 @ x': invalid literal for int() with base 10: 'x'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Step.from_text(text)
+        assert str(info.value) == message, text
 
 
 def test_step_parsing_names_a_bad_edge_token():
@@ -481,16 +500,23 @@ def test_verify_reports_the_failing_step():
 
 
 def test_verify_rejects_steps_of_the_wrong_kind():
+    # a kind that is not a string, hashable or not, names no step kind
     for cert, reason in (
         (Certificate(M("1-2"), M("1-3"), (Step("swap", (1, 2)),)),
-         "not a matching move"),
+         "step kind 'swap' is not a matching move"),
         (Certificate(P("12"), P("21"), (Step("Ia", (1, 2)),)),
-         "not a permutation move"),
+         "step kind 'Ia' is not a permutation move"),
+        (Certificate(P("12"), P("21"), (Step(["swap"], (1, 2)),)),
+         "step kind ['swap'] is not a permutation move"),
+        (Certificate(M("1-2"), M("1-3"), (Step(["Ib"], (1, 2, 1, 3)),)),
+         "step kind ['Ib'] is not a matching move"),
+        (Certificate(P("12"), P("21"), (Step({"swap": 1}, (1, 2)),)),
+         "step kind {'swap': 1} is not a permutation move"),
     ):
         verdict = verify_certificate(cert)
         assert not verdict
         assert verdict.failed_step == 0
-        assert reason in verdict.reason
+        assert verdict.reason == reason
 
 
 @pytest.mark.parametrize(
@@ -505,8 +531,16 @@ def test_verify_rejects_steps_of_the_wrong_kind():
         # params that are not ints
         (P("12"), P("21"), Step("swap", ("1", "2"))),
         (M(""), M("1-2"), Step("Ia", ("1", "2"))),
+        # a bool is not an int, params must be a tuple, a rule is not its text
+        (P("12"), P("21"), Step("swap", (True, 2))),
+        (P("12"), P("21"), Step("swap", [1, 2])),
+        (P("231"), P("312"), Step("rule", ("231-312", 1))),
+        (P("231"), P("312"), Step("rule", (RewriteRule.from_text("231-312"), True))),
     ],
-    ids=["swap-1", "insert-3", "rule-1", "Ia-1", "IIa-3", "swap-str", "Ia-str"],
+    ids=[
+        "swap-1", "insert-3", "rule-1", "Ia-1", "IIa-3", "swap-str", "Ia-str",
+        "swap-bool", "swap-list", "rule-str", "rule-bool",
+    ],
 )
 def test_verify_reports_malformed_steps_without_raising(start, end, step):
     verdict = verify_certificate(Certificate(start, end, (step,)))
