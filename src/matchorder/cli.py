@@ -173,13 +173,13 @@ def _graph_output(g, fmt: str):
 
 
 def _cmd_fork(args):
-    from .permgraphs import fork_labeled, fork_permutation
+    from .permgraphs import fork_permutation, permutation_graph
 
-    if args.emit == "graph":
-        return _graph_output(fork_labeled(args.n), args.format)
-    if args.format == "dot":
+    if args.format == "dot" and args.emit != "graph":
         raise ValueError("dot output is only available for --emit graph")
     perm = fork_permutation(args.n)
+    if args.emit == "graph":
+        return _graph_output(permutation_graph(perm), args.format)
     if args.emit == "matching":
         key, text = "matching", word_to_matching(perm).to_text()
     else:

@@ -145,10 +145,7 @@ class Step:
     params: tuple
 
     def to_text(self) -> str:
-        entry = _STEP_KINDS.get(self.kind) if isinstance(self.kind, str) else None
-        if entry is None:
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        return entry[2].format(*self.params)
+        return _step_entry(self)[2].format(*self.params)
 
     @classmethod
     def from_text(cls, text: str) -> "Step":
@@ -315,16 +312,19 @@ def _decider(items: Sequence[Matching] | Sequence[Permutation]):
     raise ValueError("items must be all matchings or all permutations")
 
 
-def _apply_step(state, step: Step):
+def _step_entry(step: Step, state_type: type | None = None):
+    """step's _STEP_KINDS entry, once its kind (a move of state_type's side,
+    when given) and params fit it; anything else is a one-line ValueError."""
     kind, params = step.kind, step.params
     entry = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
-    if entry is None or not isinstance(state, entry[0]):
-        side_name = "matching" if isinstance(state, Matching) else "permutation"
+    if state_type is not None and not (entry and issubclass(state_type, entry[0])):
+        side_name = "matching" if issubclass(state_type, Matching) else "permutation"
         raise ValueError(f"step kind {kind!r} is not a {side_name} move")
-    side, apply, _, types = entry
-    if not isinstance(params, tuple) or tuple(map(type, params)) != types:
+    if entry is None:
+        raise ValueError(f"unknown step kind {kind!r}")
+    if not isinstance(params, tuple) or tuple(map(type, params)) != entry[3]:
         raise ValueError(f"malformed step: kind {kind!r}, params {params!r}")
-    return apply(state, kind, params) if side is Matching else apply(state, *params)
+    return entry
 
 
 def verify_certificate(certificate: Certificate) -> VerificationResult:
@@ -340,7 +340,9 @@ def verify_certificate(certificate: Certificate) -> VerificationResult:
     state = certificate.start
     for index, step in enumerate(certificate.steps):
         try:
-            state = _apply_step(state, step)
+            side, apply = _step_entry(step, type(state))[:2]
+            args = (step.kind, step.params) if side is Matching else step.params
+            state = apply(state, *args)
         except ValueError as exc:
             return VerificationResult(False, index, str(exc))
     if state != certificate.end:
@@ -355,9 +357,10 @@ def antichain_check(
 ) -> AntichainReport:
     """Test items[i] <= items[j] for every ordered pair i < j.
 
-    The list is an antichain prefix exactly when all those queries come
-    back incomparable; a budget outcome on any pair, with no comparable
-    pair, makes the overall verdict "budget".
+    The verdict is "antichain" when all those queries come back
+    incomparable, that is, when no earlier item reaches a later one; a
+    later item reaching an earlier one is not checked.  A budget outcome on
+    any pair, with no comparable pair, makes the overall verdict "budget".
     """
     decide = _decider(items)
     pairs = []

@@ -5,7 +5,8 @@ every inversion, recorded on values (edge (i, j) means the values i and j
 appear out of order).  Such graphs are exactly the graphs whose edge sets
 are transitive and satisfy a betweenness condition, the Koh and Ree
 characterization, and that characterization is constructive: the
-permutation can be read back off a labeled graph that passes it.
+permutation can be read back off a labeled graph that passes it.  Forks
+need no recovery: ``fork_permutation`` is a closed form.
 
 Everything in scope is tiny (a couple dozen vertices at most), so the
 questions about graphs up to isomorphism are answered by direct search.
@@ -30,12 +31,13 @@ count to its result.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
 from ._search import bfs
 from .matchings import _parse_edge
-from .permutations import Permutation, _inversion_pairs
+from .permutations import Permutation
 
 __all__ = [
     "LabeledGraph",
@@ -45,7 +47,6 @@ __all__ = [
     "permutation_from_labeled",
     "is_permutation_graph",
     "fork_graph",
-    "fork_labeled",
     "fork_permutation",
     "has_cycle",
     "connected_components",
@@ -189,6 +190,18 @@ def permutation_graph(p: Permutation) -> LabeledGraph:
     return LabeledGraph(len(p), tuple(_inversion_pairs(p.letters)))
 
 
+def _inversion_pairs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The sorted inversion pairs (i, j), i < j, of a permutation's letters.
+    Each letter's larger predecessors are one slice of the sorted prefix."""
+    seen: list[int] = []
+    larger_before: list = [()] * (len(letters) + 1)
+    for x in letters:
+        k = bisect(seen, x)
+        larger_before[x] = seen[k:]
+        seen.insert(k, x)
+    return [(i, j) for i, js in enumerate(larger_before) for j in js]
+
+
 def koh_ree_check(g: LabeledGraph) -> tuple[bool, bool]:
     """(transitivity, betweenness) of the edge set.
 
@@ -285,27 +298,19 @@ def fork_graph(k: int) -> LabeledGraph:
     return canonical_form(LabeledGraph(k + 4, tuple(edges)))
 
 
-def fork_labeled(n: int) -> LabeledGraph:
-    """The value-labeled fork with a 2n-vertex path whose inversion-set
-    recovery works out.
-
-    Leaves 1 and 2 hang off path vertex 4; the path then alternates
-    4, 3, 6, 5, ..., 2n+2, 2n+1 and the far end 2n+1 carries leaves 2n+3
-    and 2n+4.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    edges = [(1, 4), (2, 4)]
-    edges += [(2 * k + 1, 2 * k + 2) for k in range(1, n + 1)]
-    edges += [(2 * k + 1, 2 * k + 4) for k in range(1, n)]
-    edges += [(2 * n + 1, 2 * n + 3), (2 * n + 1, 2 * n + 4)]
-    return LabeledGraph(2 * n + 4, tuple(edges))
-
-
 def fork_permutation(n: int) -> Permutation:
     """The length 2n+4 permutation whose inversion graph is the fork on a
-    2n-vertex path."""
-    return permutation_from_labeled(fork_labeled(n))
+    2n-vertex path: 4, 1, 2, then 2i+2, 2i-1 for i = 2..n, then 2n+3,
+    2n+4, 2n+1.  That is the increasing oscillation 3, 1, 5, 2, 7, 4, ...
+    of length 2n+2 with its end values 1 and 2n+2 each inflated to an
+    increasing pair, the twin leaves at the path's ends: an anchored
+    oscillation (R. Brignall, "A survey of simple permutations", 2010)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    letters = [4, 1, 2]
+    for i in range(2, n + 1):
+        letters += (2 * i + 2, 2 * i - 1)
+    return Permutation(tuple(letters + [2 * n + 3, 2 * n + 4, 2 * n + 1]))
 
 
 def has_cycle(g: LabeledGraph) -> bool:

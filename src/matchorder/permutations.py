@@ -221,17 +221,6 @@ def apply_swap(p: Permutation, i: int, j: int) -> Permutation:
     return Permutation(tuple(swapped))
 
 
-def _inversion_pairs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
-    pos = {v: k for k, v in enumerate(letters)}
-    n = len(letters)
-    return [
-        (i, j)
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if pos[i] > pos[j]
-    ]
-
-
 def _bruhat_successors(
     letters: tuple[int, ...]
 ) -> list[tuple[tuple[int, int], tuple[int, ...]]]:

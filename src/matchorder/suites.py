@@ -37,6 +37,7 @@ from .matchings import (
 from .permgraphs import (
     LabeledGraph,
     _block_ids,
+    _inversion_pairs,
     _is_cyclic,
     canonical_form,
     fork_graph,
@@ -51,7 +52,6 @@ from .permutations import (
     RewriteRule,
     _bruhat_successors,
     _insertion_successors,
-    _inversion_pairs,
     _swap_successors,
     bruhat_closure_leq,
     contains_pattern,

@@ -175,6 +175,32 @@ def test_fork_rejects_non_positive_n(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_fork_builds_without_graph_recovery(monkeypatch):
+    from matchorder import permgraphs
+
+    def refuse(g):
+        raise AssertionError("fork must not recover a permutation from a graph")
+
+    monkeypatch.setattr(permgraphs, "koh_ree_check", refuse)
+    assert run("fork", "--n", "5") == (0, "4,1,2,6,3,8,5,10,7,12,9,13,14,11\n")
+    assert run("fork", "--n", "5", "--emit", "graph") == (
+        0,
+        "n=14; 1-4 2-4 3-4 3-6 5-6 5-8 7-8 7-10 9-10 9-12 11-12 11-13 11-14\n",
+    )
+    assert run("fork", "--n", "5", "--emit", "matching") == (
+        0,
+        "1-27 2-26 3-24 4-28 5-22 6-25 7-20 8-23 9-18 10-21 11-15 12-19 13-17 14-16\n",
+    )
+
+
+@pytest.mark.parametrize("emit", ["perm", "matching", "graph"])
+def test_fork_is_fast_at_n_2000(emit):
+    started = perf_counter()
+    code, out = run("fork", "--n", "2000", "--emit", emit)
+    assert code == 0 and out
+    assert perf_counter() - started < 0.5
+
+
 def test_graph_text():
     assert run("graph", "412563") == (0, "n=6; 1-4 2-4 3-4 3-5 3-6\n")
     assert run("graph", "3214") == (0, "n=4; 1-2 1-3 2-3\n")

@@ -114,6 +114,11 @@ def test_step_text_round_trips():
         assert Step.from_text(text).to_text() == text
     with pytest.raises(ValueError, match="unknown step kind"):
         Step("frob", ()).to_text()
+    # a step that replay would call malformed has no text either
+    for params in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="malformed step") as info:
+            Step("swap", params).to_text()
+        assert "\n" not in str(info.value)
     # a rule step keeps the parsed rule, the same step the search records
     step = Step.from_text("rule 231-312 @ 1")
     assert step.params == (RewriteRule.from_text("231-312"), 1)

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from matchorder.permgraphs import (
     LabeledGraph,
     _block_ids,
+    _inversion_pairs,
     _is_cyclic,
     canonical_form,
     connected_components,
     fork_graph,
-    fork_labeled,
     fork_permutation,
     from_dot,
     has_cycle,
@@ -24,7 +24,16 @@ from matchorder.permgraphs import (
     permutation_graph,
     to_dot,
 )
-from matchorder.permutations import Permutation, _inversion_pairs
+from matchorder.permutations import Permutation
+
+
+def pairwise_inversions(letters):
+    """Reference lister: test every pair of values."""
+    pos = {v: k for k, v in enumerate(letters)}
+    n = len(letters)
+    return [
+        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if pos[i] > pos[j]
+    ]
 
 
 def complete(n):
@@ -166,7 +175,7 @@ def _recover_by_precedence(g):
         raise ValueError("precedence relation does not linearize")
     letters = tuple(sorted(count, key=count.get))
     result = Permutation(letters)
-    if set(_inversion_pairs(letters)) != edges:
+    if set(pairwise_inversions(letters)) != edges:
         raise ValueError("recovered permutation does not reproduce the edge set")
     return result
 
@@ -275,16 +284,48 @@ def test_fork_graph_ignores_labeling():
     )
 
 
+def labeled_fork(n):
+    """The value-labeled fork on a 2n-vertex path, spelled edge by edge.
+
+    Leaves 1 and 2 hang off path vertex 4; the path then alternates
+    4, 3, 6, 5, ..., 2n+2, 2n+1 and the far end 2n+1 carries leaves 2n+3
+    and 2n+4.
+    """
+    edges = [(1, 4), (2, 4)]
+    edges += [(2 * k + 1, 2 * k + 2) for k in range(1, n + 1)]
+    edges += [(2 * k + 1, 2 * k + 4) for k in range(1, n)]
+    edges += [(2 * n + 1, 2 * n + 3), (2 * n + 1, 2 * n + 4)]
+    return LabeledGraph(2 * n + 4, tuple(edges))
+
+
 def test_fork_labeled_and_permutation():
-    assert fork_labeled(1) == LabeledGraph.from_text("n=6; 1-4 2-4 3-4 3-5 3-6")
     assert fork_permutation(1) == Permutation.from_text("412563")
     assert fork_permutation(2) == Permutation.from_text("41263785")
-    for n in range(1, 5):
+    assert labeled_fork(1) == LabeledGraph.from_text("n=6; 1-4 2-4 3-4 3-5 3-6")
+    for n in range(1, 201):
         p = fork_permutation(n)
-        assert len(p) == 2 * n + 4
-        assert canonical_form(permutation_graph(p)) == fork_graph(2 * n)
+        assert p == permutation_from_labeled(labeled_fork(n))
+        assert permutation_graph(p) == labeled_fork(n)
+    for n in range(1, 5):
+        assert canonical_form(permutation_graph(fork_permutation(n))) == fork_graph(2 * n)
     with pytest.raises(ValueError, match="at least 1"):
-        fork_labeled(0)
+        fork_permutation(0)
+
+
+def test_inversion_pairs_match_the_pairwise_reference_on_s0_to_s7():
+    for n in range(8):
+        for letters in itertools.permutations(range(1, n + 1)):
+            assert _inversion_pairs(letters) == pairwise_inversions(letters)
+
+
+@given(
+    st.integers(min_value=8, max_value=60).flatmap(
+        lambda n: st.permutations(range(1, n + 1))
+    )
+)
+def test_inversion_pairs_match_the_pairwise_reference_on_longer_permutations(letters):
+    letters = tuple(letters)
+    assert _inversion_pairs(letters) == pairwise_inversions(letters)
 
 
 def test_cycle_detection():
