@@ -4,9 +4,11 @@ The graph of a permutation has the values 1..n as vertices and an edge for
 every inversion, recorded on values (edge (i, j) means the values i and j
 appear out of order).  Such graphs are exactly the graphs whose edge sets
 are transitive and satisfy a betweenness condition, the Koh and Ree
-characterization, and that characterization is constructive: the
-permutation can be read back off a labeled graph that passes it.  Forks
-need no recovery: ``fork_permutation`` is a closed form.
+characterization.  Recovery needs neither property: a position formula
+reads the permutation off a labeled graph, and the round trip through its
+inversion set accepts it, in O(n log n + |E|).  The two properties only
+name what a rejected graph lacks.  Forks need no recovery:
+``fork_permutation`` is a closed form.
 
 Everything in scope is tiny (a couple dozen vertices at most), so the
 questions about graphs up to isomorphism are answered by direct search.
@@ -230,30 +232,29 @@ def permutation_from_labeled(g: LabeledGraph) -> Permutation:
 
     Value v is preceded by the smaller values it is in order with and the
     larger values it is inverted with, so its 0-based position is
-    v - 1 - #(smaller neighbours) + #(larger neighbours).  Those positions
-    linearize the values when the graph passes the characterization check;
-    the round trip is verified before returning.
+    v - 1 - #(smaller neighbours) + #(larger neighbours).  When those
+    positions are 0..n-1, the permutation they spell is accepted exactly
+    when its inversion set is g's edge set, in O(n log n + |E|).  An edge
+    set passes the Koh and Ree check exactly when it is an inversion set,
+    so ``koh_ree_check`` runs only on a rejected graph, to name the
+    property it lacks.
     """
-    transitive, between = koh_ree_check(g)
-    if not (transitive and between):
-        raise ValueError(
-            f"graph fails the inversion-set characterization "
-            f"(transitive={transitive}, betweenness={between})"
-        )
     n = g.n
     position = list(range(-1, n))  # position[v] starts at v - 1; slot 0 is unused
     for i, j in g.edges:
         position[i] += 1
         position[j] -= 1
-    if sorted(position[1:]) != list(range(n)):
-        raise ValueError("precedence relation does not linearize")
-    letters = [0] * n
-    for v in range(1, n + 1):
-        letters[position[v]] = v
-    result = Permutation(tuple(letters))
-    if _inversion_pairs(result.letters) != list(g.edges):
-        raise ValueError("recovered permutation does not reproduce the edge set")
-    return result
+    if sorted(position[1:]) == list(range(n)):
+        letters = [0] * n
+        for v in range(1, n + 1):
+            letters[position[v]] = v
+        if _inversion_pairs(letters) == list(g.edges):
+            return Permutation(tuple(letters))
+    transitive, between = koh_ree_check(g)
+    raise ValueError(
+        f"graph fails the inversion-set characterization "
+        f"(transitive={transitive}, betweenness={between})"
+    )
 
 
 def is_permutation_graph(
@@ -336,28 +337,29 @@ def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
     return components
 
 
-def _block_ids(letters: tuple[int, ...]) -> tuple[list[int], int]:
+def _block_ids(letters: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int]]]:
     """Component index of every value of a permutation's inversion graph.
 
-    Returns (ids, count) with ids[v] the index of the component holding
-    value v (ids[0] is unused) and count the number of components.  The
-    components are the prefix-maximum blocks: position k closes a block
-    exactly when max(p1..pk) = k (Koh and Ree 2007), so the block ending
-    at k holds exactly the values after the previous block's end up to k.
-    Blocks are numbered left to right, which is the order of their least
-    values.
+    Returns (ids, spans) with ids[v] the index of the component holding
+    value v (ids[0] is unused) and spans[c] the (least, greatest) value of
+    component c.  The components are the prefix-maximum blocks: position k
+    closes a block exactly when max(p1..pk) = k (Koh and Ree 2007), so the
+    block ending at k holds exactly the values after the previous block's
+    end up to k.  Blocks are numbered left to right, which is the order of
+    their least values.
     """
-    ids = [0] * (len(letters) + 1)
-    count = high = 0
+    ids = [0]
+    spans: list[tuple[int, int]] = []
+    high = 0
     low = 1
     for k, x in enumerate(letters, 1):
         if x > high:
             high = x
         if high == k:
-            ids[low : k + 1] = [count] * (k + 1 - low)
-            count += 1
+            ids += [len(spans)] * (k + 1 - low)
+            spans.append((low, k))
             low = k + 1
-    return ids, count
+    return ids, spans
 
 
 def _is_cyclic(letters: tuple[int, ...]) -> bool:

@@ -28,7 +28,6 @@ from .engine import (
 )
 from .matchings import (
     MOVE_KINDS,
-    Matching,
     all_matchings,
     lex_key,
     moves_with_params,
@@ -171,17 +170,6 @@ def criterion_a5() -> tuple[bool, str]:
     )
 
 
-def _block_spans(ids: list[int]) -> list[tuple[int, int]]:
-    """(least, greatest) value of each block, from _block_ids output."""
-    spans = []
-    low = 1
-    for v in range(1, len(ids)):
-        if v == len(ids) - 1 or ids[v + 1] != ids[v]:
-            spans.append((low, v))
-            low = v + 1
-    return spans
-
-
 def criterion_a6() -> tuple[bool, str]:
     """On S_1-S_7, components survive every move; same-component swaps force a cycle.
 
@@ -193,8 +181,7 @@ def criterion_a6() -> tuple[bool, str]:
     violations = []
     checked = 0
     for letters in _permutations():
-        ids, _ = _block_ids(letters)
-        spans = _block_spans(ids)
+        ids, spans = _block_ids(letters)
         for (_, (i, j)), result in _swap_successors(letters):
             checked += 1
             result_ids, _ = _block_ids(result)

@@ -1,10 +1,12 @@
 """Inversion graphs, canonical forms, recognition, and the fork family."""
 
 import itertools
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchorder import permgraphs
 from matchorder.permgraphs import (
     LabeledGraph,
     _block_ids,
@@ -201,6 +203,38 @@ def test_recovery_matches_the_pairwise_precedence_count(g):
     assert _outcome(permutation_from_labeled, g) == _outcome(_recover_by_precedence, g)
 
 
+def test_recovery_matches_the_precedence_reference_on_every_graph_up_to_six_vertices():
+    graphs = accepted = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            graphs += 1
+            outcome = _outcome(permutation_from_labeled, g)
+            assert outcome == _outcome(_recover_by_precedence, g), g
+            accepted += isinstance(outcome, Permutation)
+    assert (graphs, accepted) == (33868, 873)
+
+
+def test_recovery_accepts_without_the_characterization_check(monkeypatch):
+    def refuse(g):
+        raise AssertionError("an inversion graph needs no characterization check")
+
+    monkeypatch.setattr(permgraphs, "koh_ree_check", refuse)
+    for n in range(1, 7):
+        for letters in itertools.permutations(range(1, n + 1)):
+            p = Permutation(letters)
+            assert permutation_from_labeled(permutation_graph(p)) == p
+    fork = fork_permutation(2000)
+    assert permutation_from_labeled(permutation_graph(fork)) == fork
+
+
+def test_recovery_is_fast_on_fork_2000():
+    fork = fork_permutation(2000)
+    graph = permutation_graph(fork)
+    started = perf_counter()
+    assert permutation_from_labeled(graph) == fork
+    assert perf_counter() - started < 0.1
+
+
 def test_recovery_rejects_failing_graphs():
     with pytest.raises(ValueError, match="transitive=False"):
         permutation_from_labeled(LabeledGraph(3, ((1, 2), (2, 3))))
@@ -357,7 +391,8 @@ def assert_block_helpers_agree(letters):
     for index, component in enumerate(components):
         for v in component:
             ids[v] = index
-    assert _block_ids(letters) == (ids, len(components))
+    spans = [(min(component), max(component)) for component in components]
+    assert _block_ids(letters) == (ids, spans)
     assert _is_cyclic(letters) == has_cycle(graph)
 
 
@@ -377,8 +412,11 @@ def test_block_helpers_agree_with_graph_search_on_longer_permutations(letters):
 
 
 def test_block_helper_examples():
-    assert _block_ids(()) == ([0], 0)
-    assert _block_ids((2, 1, 3, 5, 6, 4)) == ([0, 0, 0, 1, 2, 2, 2], 3)
+    assert _block_ids(()) == ([0], [])
+    assert _block_ids((2, 1, 3, 5, 6, 4)) == (
+        [0, 0, 0, 1, 2, 2, 2],
+        [(1, 2), (3, 3), (4, 6)],
+    )
     assert not _is_cyclic((2, 1, 4, 3))
     assert _is_cyclic((3, 2, 1))
     assert _is_cyclic((3, 4, 1, 2))
