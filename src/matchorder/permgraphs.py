@@ -23,11 +23,11 @@ position k closes a block exactly when max(p1..pk) = k, so each block
 holds an interval of values (Koh and Ree, "Connected permutation graphs",
 Discrete Math. 307, 2007).  And a graph is a forest exactly when
 |E| = n - #components, so the graph has a cycle exactly when the
-inversion count exceeds n minus the block count.  ``_block_ids`` and
-``_is_cyclic`` answer both from the letters in one pass.  For general
-graphs ``connected_components`` runs the shared breadth-first search from
-``_search`` once per component, and ``has_cycle`` applies the same forest
-count to its result.
+inversion count exceeds n minus the block count.  ``_graph_shape`` reads
+the inversion count and the block ends off the letters in one pass.  For
+general graphs ``connected_components`` runs the shared breadth-first
+search from ``_search`` once per component, and ``has_cycle`` applies the
+same forest count to its result.
 """
 
 from __future__ import annotations
@@ -337,49 +337,28 @@ def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
     return components
 
 
-def _block_ids(letters: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Component index of every value of a permutation's inversion graph.
+def _graph_shape(letters: tuple[int, ...]) -> tuple[int, int]:
+    """(inversions, cuts) of a permutation's inversion graph, in one pass.
 
-    Returns (ids, spans) with ids[v] the index of the component holding
-    value v (ids[0] is unused) and spans[c] the (least, greatest) value of
-    component c.  The components are the prefix-maximum blocks: position k
-    closes a block exactly when max(p1..pk) = k (Koh and Ree 2007), so the
-    block ending at k holds exactly the values after the previous block's
-    end up to k.  Blocks are numbered left to right, which is the order of
-    their least values.
+    Bit k of ``cuts`` is set when position k closes a prefix-maximum block,
+    that is when max(p1..pk) = k; bit 0 is unused.  The blocks are the
+    graph's components, each an interval of values (Koh and Ree 2007), so
+    - the component count is ``cuts.bit_count()``;
+    - the graph has a cycle exactly when inversions > n - cuts.bit_count(),
+      since a graph is a forest exactly when |E| = n - #components;
+    - values i < j share a component exactly when no cut lies in i..j-1.
+    A bitmask of the values already seen gives each letter's count of
+    larger values to its left.
     """
-    ids = [0]
-    spans: list[tuple[int, int]] = []
-    high = 0
-    low = 1
-    for k, x in enumerate(letters, 1):
-        if x > high:
-            high = x
-        if high == k:
-            ids += [len(spans)] * (k + 1 - low)
-            spans.append((low, k))
-            low = k + 1
-    return ids, spans
-
-
-def _is_cyclic(letters: tuple[int, ...]) -> bool:
-    """Does the inversion graph of a permutation contain a cycle?
-
-    A graph is a forest exactly when |E| = n - #components, so it has a
-    cycle exactly when the inversion count exceeds n minus the number of
-    prefix-maximum blocks (Koh and Ree 2007).  One pass counts both: a
-    bitmask of the values already seen gives each letter's count of
-    larger values to its left, and the running maximum closes the blocks.
-    """
-    inversions = blocks = high = seen = 0
+    inversions = cuts = high = seen = 0
     for k, x in enumerate(letters, 1):
         inversions += (seen >> x).bit_count()
         seen |= 1 << x
         if x > high:
             high = x
         if high == k:
-            blocks += 1
-    return inversions > len(letters) - blocks
+            cuts |= 1 << k
+    return inversions, cuts
 
 
 def _embeds(h: LabeledGraph, g: LabeledGraph, induced: bool) -> bool:

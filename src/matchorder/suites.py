@@ -35,9 +35,7 @@ from .matchings import (
 )
 from .permgraphs import (
     LabeledGraph,
-    _block_ids,
-    _inversion_pairs,
-    _is_cyclic,
+    _graph_shape,
     canonical_form,
     fork_graph,
     fork_permutation,
@@ -141,15 +139,21 @@ def criterion_a4() -> tuple[bool, str]:
     permutations = swaps = 0
     for letters in _permutations():
         permutations += 1
-        before = len(_inversion_pairs(letters))
+        before = _graph_shape(letters)[0]
         for (_, params), result in _swap_successors(letters):
             swaps += 1
-            if len(_inversion_pairs(result)) <= before:
+            if _graph_shape(result)[0] <= before:
                 violations.append((letters, params))
     return _fail_detail(
         violations,
         f"{swaps} swaps over {permutations} permutations all add inversions",
     )
+
+
+def _is_cyclic(letters: tuple[int, ...]) -> bool:
+    """Does the inversion graph of a permutation contain a cycle?"""
+    inversions, cuts = _graph_shape(letters)
+    return inversions > len(letters) - cuts.bit_count()
 
 
 def criterion_a5() -> tuple[bool, str]:
@@ -173,27 +177,32 @@ def criterion_a5() -> tuple[bool, str]:
 def criterion_a6() -> tuple[bool, str]:
     """On S_1-S_7, components survive every move; same-component swaps force a cycle.
 
-    Components are the prefix-maximum blocks, which are value intervals
-    (see permgraphs._block_ids).  The result's components are intervals
-    too, so a component stays in one piece exactly when its least and
-    greatest values (shifted past an inserted value) share a block.
+    Components are the prefix-maximum blocks, value intervals that end at
+    the cuts of permgraphs._graph_shape.  A swap keeps the value set, so it
+    splits no component exactly when every cut of the result is a cut of
+    the letters, and values i < j share a component exactly when no cut of
+    the letters lies in i..j-1.  After an insertion a component stays in
+    one piece exactly when no cut of the result lies between its least and
+    greatest values, shifted past the inserted value.
     """
     violations = []
     checked = 0
     for letters in _permutations():
-        ids, spans = _block_ids(letters)
+        _, cuts = _graph_shape(letters)
+        ends = [k for k in range(1, len(letters) + 1) if cuts >> k & 1]
+        spans = list(zip([1, *(k + 1 for k in ends)], ends))
         for (_, (i, j)), result in _swap_successors(letters):
             checked += 1
-            result_ids, _ = _block_ids(result)
-            if any(result_ids[low] != result_ids[high] for low, high in spans):
+            if _graph_shape(result)[1] & ~cuts:
                 violations.append((letters, "swap-split", (i, j)))
-            if ids[i] == ids[j] and not _is_cyclic(result):
+            if not cuts & ((1 << j) - (1 << i)) and not _is_cyclic(result):
                 violations.append((letters, "same-component-acyclic", (i, j)))
         for (_, (value, _pos)), result in _insertion_successors(letters):
             checked += 1
-            result_ids, _ = _block_ids(result)
+            _, result_cuts = _graph_shape(result)
             if any(
-                result_ids[low + (low >= value)] != result_ids[high + (high >= value)]
+                result_cuts
+                & ((1 << high + (high >= value)) - (1 << low + (low >= value)))
                 for low, high in spans
             ):
                 violations.append((letters, "insert-split", value))

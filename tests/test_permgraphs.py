@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from matchorder import permgraphs
 from matchorder.permgraphs import (
     LabeledGraph,
-    _block_ids,
+    _graph_shape,
     _inversion_pairs,
-    _is_cyclic,
     canonical_form,
     connected_components,
     fork_graph,
@@ -26,7 +25,11 @@ from matchorder.permgraphs import (
     permutation_graph,
     to_dot,
 )
-from matchorder.permutations import Permutation
+from matchorder.permutations import (
+    Permutation,
+    _insertion_successors,
+    _swap_successors,
+)
 
 
 def pairwise_inversions(letters):
@@ -384,16 +387,16 @@ def test_connected_components():
 
 
 def assert_block_helpers_agree(letters):
-    """Check both helpers against the general graph code on the same graph."""
+    """Check _graph_shape against the general graph code on the same graph."""
     graph = LabeledGraph(len(letters), _inversion_pairs(letters))
     components = connected_components(graph)
-    ids = [0] * (len(letters) + 1)
-    for index, component in enumerate(components):
-        for v in component:
-            ids[v] = index
-    spans = [(min(component), max(component)) for component in components]
-    assert _block_ids(letters) == (ids, spans)
-    assert _is_cyclic(letters) == has_cycle(graph)
+    inversions, cuts = _graph_shape(letters)
+    assert inversions == len(graph.edges)
+    assert cuts == sum(1 << max(component) for component in components)
+    for component in components:
+        assert component == set(range(min(component), max(component) + 1))
+    cyclic = inversions > len(letters) - cuts.bit_count()
+    assert cyclic == has_cycle(graph)
 
 
 def test_block_helpers_agree_with_graph_search_on_s1_to_s7():
@@ -412,15 +415,38 @@ def test_block_helpers_agree_with_graph_search_on_longer_permutations(letters):
 
 
 def test_block_helper_examples():
-    assert _block_ids(()) == ([0], [])
-    assert _block_ids((2, 1, 3, 5, 6, 4)) == (
-        [0, 0, 0, 1, 2, 2, 2],
-        [(1, 2), (3, 3), (4, 6)],
-    )
-    assert not _is_cyclic((2, 1, 4, 3))
-    assert _is_cyclic((3, 2, 1))
-    assert _is_cyclic((3, 4, 1, 2))
-    assert not _is_cyclic(fork_permutation(1).letters)
+    assert _graph_shape(()) == (0, 0)
+    assert _graph_shape((2, 1, 3, 5, 6, 4)) == (3, 0b1001100)
+    assert _graph_shape((2, 1, 4, 3)) == (2, 0b10100)
+    assert _graph_shape((3, 2, 1)) == (3, 0b1000)
+    assert _graph_shape((3, 4, 1, 2)) == (4, 0b10000)
+    assert _graph_shape(fork_permutation(1).letters) == (5, 1 << 6)
+
+
+def potentials(letters):
+    """(inv, n - c, mu) of a permutation's inversion graph with c components."""
+    inversions, cuts = _graph_shape(letters)
+    rank = len(letters) - cuts.bit_count()
+    return inversions, rank, inversions - rank
+
+
+def test_potentials_never_fall_under_moves_from_s1_to_s7():
+    """inv, n - c and mu never fall under a swap or an insertion, and inv
+    rises on every swap: the monotone potentials of the permutation search."""
+    counts = {"swap": 0, "insert": 0}
+    violations = []
+    for n in range(1, 8):
+        for letters in itertools.permutations(range(1, n + 1)):
+            before = potentials(letters)
+            swaps, insertions = _swap_successors(letters), _insertion_successors(letters)
+            for (kind, params), result in itertools.chain(swaps, insertions):
+                counts[kind] += 1
+                after = potentials(result)
+                stalled = kind == "swap" and after[0] == before[0]
+                if stalled or any(a < b for a, b in zip(after, before)):
+                    violations.append((letters, kind, params))
+    assert counts == {"swap": 38203, "insert": 362878}
+    assert violations == []
 
 
 def test_subgraph_relations():
