@@ -8,12 +8,10 @@ tuples, for speed, and return every move from a state as
 ``((kind, params), result)`` pairs in a fixed canonical order, kind being
 the step name a certificate prints (``"swap"``, ``"insert"``,
 ``"rule"``): the ``(step, next)`` shape the shared breadth-first search in
-``_search`` consumes and ``engine.Step(*step)`` builds.  A Bruhat cover is
-no certificate move, so ``_bruhat_successors`` yields bare ``(params,
-result)`` pairs, whose step ``bruhat_closure_leq``'s search ignores.  The
-public ``apply_*`` functions apply one move with given parameters, as
-certificate replay needs; they re-check its legality themselves and never
-consult the generators, so each form can be tested against the other.
+``_search`` consumes and ``engine.Step(*step)`` builds.  The public
+``apply_*`` functions apply one move with given parameters, as certificate
+replay needs; they re-check its legality themselves and never consult the
+generators, so each form can be tested against the other.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-from ._search import bfs
 
 __all__ = [
     "Permutation",
@@ -221,45 +217,24 @@ def apply_swap(p: Permutation, i: int, j: int) -> Permutation:
     return Permutation(tuple(swapped))
 
 
-def _bruhat_successors(
-    letters: tuple[int, ...]
-) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-    """One-swap covers as ((i, j), result) pairs: swap i < j (i before j)
-    when every value between them sits before i or after j.
-
-    For fixed i, bound is the nearest position right of i's among the
-    values i+1..j-1 (n when there is none), so (i, j) is a cover exactly
-    when j sits right of i and left of bound, and then j becomes the
-    nearest.
-    """
-    n = len(letters)
-    pos = [0] * (n + 1)
-    for k, v in enumerate(letters):
-        pos[v] = k
-    out = []
-    for i in range(1, n):
-        pi = pos[i]
-        bound = n
-        for j in range(i + 1, n + 1):
-            pj = pos[j]
-            if pi < pj < bound:
-                bound = pj
-                swapped = list(letters)
-                swapped[pi], swapped[pj] = j, i
-                out.append(((i, j), tuple(swapped)))
-    return out
-
-
 def bruhat_closure_leq(a: Permutation, b: Permutation) -> bool:
     """Is b reachable from a by repeated unconstrained-interval swaps?
 
     The swap rule here is looser than the one in apply_swap: the values
     between i and j may sit on either side of the pair, as long as none
-    sits strictly between the two swapped positions.
+    sits strictly between the two swapped positions.  These swaps are the
+    Bruhat covers of S_n, so their closure is the Bruhat order, decided by
+    Ehresmann's tableau criterion: a <= b exactly when every prefix of a,
+    sorted, lies entrywise at or below the same prefix of b, sorted
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2005, ch. 2).
     """
     if len(a) != len(b):
         raise ValueError("comparison needs equal lengths")
-    return bfs(a.letters, _bruhat_successors, b.letters)[0]
+    return all(
+        x <= y
+        for k in range(1, len(a))
+        for x, y in zip(sorted(a.letters[:k]), sorted(b.letters[:k]))
+    )
 
 
 def _rewrite_successors(

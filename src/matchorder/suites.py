@@ -47,7 +47,6 @@ from .permgraphs import (
 from .permutations import (
     Permutation,
     RewriteRule,
-    _bruhat_successors,
     _insertion_successors,
     _swap_successors,
     bruhat_closure_leq,
@@ -300,37 +299,40 @@ def criterion_a11() -> tuple[bool, str]:
     pairs = 0
     for n in range(1, 6):
         universe = list(itertools.permutations(range(1, n + 1)))
+        perm = {t: Permutation(t) for t in universe}
         reach_moves = {t: frozenset(bfs(t, _swap_successors)[1]) for t in universe}
-        reach_covers = {t: frozenset(bfs(t, _bruhat_successors)[1]) for t in universe}
         for t in universe:
             pairs += len(universe)
-            if not reach_moves[t] <= reach_covers[t]:
+            if not all(bruhat_closure_leq(perm[t], perm[u]) for u in reach_moves[t]):
                 violations.append(("containment", t))
             if witness is None:
-                extra = sorted(reach_covers[t] - reach_moves[t])
-                if extra:
-                    witness = (Permutation(t), Permutation(extra[0]))
+                extra = next(
+                    (
+                        u
+                        for u in universe
+                        if u not in reach_moves[t]
+                        and bruhat_closure_leq(perm[t], perm[u])
+                    ),
+                    None,
+                )
+                if extra is not None:
+                    witness = (perm[t], perm[extra])
         if n <= 4:
-            # tie the closure bookkeeping back to the public deciders
+            # tie the closure bookkeeping back to the public decider
             for ta in universe:
-                pa = Permutation(ta)
                 for tb in universe:
-                    pb = Permutation(tb)
-                    if (perm_leq(pa, pb, moves).comparable is True) != (
+                    if (perm_leq(perm[ta], perm[tb], moves).comparable is True) != (
                         tb in reach_moves[ta]
                     ):
                         violations.append(("decider-mismatch", ta, tb))
-                    if bruhat_closure_leq(pa, pb) != (tb in reach_covers[ta]):
-                        violations.append(("cover-mismatch", ta, tb))
     if witness is None:
         violations.append("no strictly-weaker witness found")
         return _fail_detail(violations, "")
-    passed, detail = _fail_detail(
+    return _fail_detail(
         violations,
         f"{pairs} ordered pairs contained; witness {witness[0]} to {witness[1]} "
         "is cover-only",
     )
-    return passed, detail
 
 
 # (argv, expected stdout, expected exit code); the verify transcript is

@@ -24,11 +24,12 @@ __import__(sys.argv[2])
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("matchorder"))))
 """
 
-_PERMUTATIONS = {"matchorder", "matchorder._search", "matchorder.permutations"}
+_PERMUTATIONS = {"matchorder", "matchorder.permutations"}
 _MATCHINGS = _PERMUTATIONS | {"matchorder.matchings"}
-_ENGINE = _MATCHINGS | {"matchorder.engine"}
-# the deciders and replay never need the graph toolkit, and the CLI loads
-# permgraphs and suites only in the commands that use them
+_ENGINE = _MATCHINGS | {"matchorder._search", "matchorder.engine"}
+# the move modules never need the search, the deciders and replay never
+# need the graph toolkit, and the CLI loads permgraphs and suites only in
+# the commands that use them
 LOADS = {
     "matchorder.permutations": _PERMUTATIONS,
     "matchorder.matchings": _MATCHINGS,

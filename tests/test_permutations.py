@@ -1,15 +1,16 @@
 """Permutation parsing, patterns, and the single-step move generators."""
 
 import itertools
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from matchorder._search import bfs
 from matchorder.permgraphs import permutation_graph
 from matchorder.permutations import (
     Permutation,
     RewriteRule,
-    _bruhat_successors,
     _insertion_successors,
     _ranks,
     _rewrite_successors,
@@ -221,28 +222,45 @@ def _dominance_leq(a, b):
 
 
 def test_cover_closure_against_dominance_oracle():
-    for n in range(1, 5):
+    for n in range(1, 6):
         universe = permutations_of(n)
         for a in universe:
             for b in universe:
                 assert bruhat_closure_leq(a, b) == _dominance_leq(a, b)
 
 
-def test_bruhat_successors_are_exactly_the_covers():
-    # swap values i < j, i to the left, when no position strictly between
-    # theirs holds a value strictly between them; listed in (i, j) order
-    for n in range(1, 8):
-        for letters in itertools.permutations(range(1, n + 1)):
-            expected = []
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                left, right = letters.index(i), letters.index(j)
-                if left < right and not any(
-                    i < letters[k] < j for k in range(left + 1, right)
-                ):
-                    swapped = list(letters)
-                    swapped[left], swapped[right] = j, i
-                    expected.append(((i, j), tuple(swapped)))
-            assert _bruhat_successors(letters) == expected
+def _covers(letters):
+    """Swap values i < j, i to the left, when no position strictly between
+    theirs holds a value strictly between them, as ((i, j), result)."""
+    for i, j in itertools.combinations(range(1, len(letters) + 1), 2):
+        left, right = letters.index(i), letters.index(j)
+        if left < right and not any(
+            i < letters[k] < j for k in range(left + 1, right)
+        ):
+            swapped = list(letters)
+            swapped[left], swapped[right] = j, i
+            yield (i, j), tuple(swapped)
+
+
+def test_cover_closure_against_the_searched_covers_on_s1_to_s6():
+    for n in range(1, 7):
+        universe = list(itertools.permutations(range(1, n + 1)))
+        perm = {t: Permutation(t) for t in universe}
+        for a in universe:
+            above = bfs(a, _covers)[1]
+            for b in universe:
+                assert bruhat_closure_leq(perm[a], perm[b]) == (b in above), (a, b)
+
+
+def test_cover_closure_is_fast_from_identity_to_reverse():
+    def identity_to_reverse(n):
+        identity = Permutation(tuple(range(1, n + 1)))
+        return bruhat_closure_leq(identity, Permutation(identity.letters[::-1]))
+
+    started = perf_counter()
+    assert identity_to_reverse(9)
+    assert perf_counter() - started < 0.1
+    assert identity_to_reverse(200)
 
 
 def test_cover_closure_basics():
